@@ -59,13 +59,7 @@ from .weyl import (
     WeylGroupContext,
     Word,
     build_group,
-    canonical_word,
-    coxeter_number,
-    descents,
     format_word,
-    from_word,
-    length,
-    multiply,
     parse_word,
 )
 

@@ -3,13 +3,16 @@
 The comparison v <= u peels the smallest left descent s of u: if s is also
 a left descent of v the pair becomes (sv, su), otherwise (v, su).  Every
 pair on the chain has the same answer, so the whole chain is memoized in
-the context cache.  An exhaustive subword scan is kept as an independent
-test oracle.
+the context cache under the int key (v.id << 32) | u.id.  Each step reads
+su and sv from the elements' left-product caches, so a product s_i * w is
+computed once per element however many comparisons pass through it.  An
+exhaustive subword scan is kept as an independent test oracle.
 
 Strata of W^J (minimal coset representatives, no right descent in J) are
 grown level by level: the successors of w in W^J are the products s_i * w
-that land in W^J with length l(w) + 1.  High strata are obtained from low
-ones through the length-reversing bijection x -> w_0 * x * w_{0J}.
+(read from the same left-product cache) that land in W^J with length
+l(w) + 1.  High strata are obtained from low ones through the
+length-reversing bijection x -> w_0 * x * w_{0J}.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ def bruhat_leq(ctx: WeylGroupContext, v: WeylElement, u: WeylElement) -> bool:
     if v.ctx is not ctx or u.ctx is not ctx:
         raise ContextMismatch("elements do not belong to this context")
     cache = ctx.bruhat_cache
-    gens = ctx.simple_reflections
+    left = ctx.left_multiply
     chain = []
     while True:
         if v.length == 0:
@@ -35,15 +38,15 @@ def bruhat_leq(ctx: WeylGroupContext, v: WeylElement, u: WeylElement) -> bool:
         if v is u:
             answer = True
             break
-        key = (v, u)
+        key = (v.id << 32) | u.id
         hit = cache.get(key)
         if hit is not None:
             answer = hit
             break
         chain.append(key)
-        s = gens[u.min_left_descent() - 1]
-        u = ctx.multiply(s, u)
-        sv = ctx.multiply(s, v)
+        i = u.min_left_descent()
+        u = left(i, u)
+        sv = left(i, v)
         if sv.length < v.length:
             v = sv
     for key in chain:
@@ -101,14 +104,15 @@ def _grow_levels(ctx: WeylGroupContext, jset: frozenset[int], upto: int) -> list
         ctx._strata[jset] = levels
     if ctx._strata_done.get(jset):
         return levels
-    gens = ctx.simple_reflections
+    left = ctx.left_multiply
+    gens = range(1, ctx.rank + 1)
     while len(levels) <= upto:
         frontier = levels[-1]
         depth = len(levels)
         nxt = set()
         for w in frontier:
-            for s in gens:
-                x = ctx.multiply(s, w)
+            for i in gens:
+                x = left(i, w)
                 if x.length == depth and _is_min_rep(x, jset):
                     nxt.add(x)
         if not nxt:

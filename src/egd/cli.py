@@ -48,6 +48,14 @@ def _parse_nodes(spec: DynkinSpec, text: str) -> frozenset[int]:
     return nodes
 
 
+def _check_common(args) -> None:
+    """Reject out-of-range shared flags before any context is built."""
+    if args.workers < 1:
+        raise EgdError(f"--workers must be at least 1, got {args.workers}")
+    if args.budget < 0:
+        raise EgdError(f"--budget must be at least 0, got {args.budget}")
+
+
 def _pair_line(k: int, pair: MdPair, classify: bool) -> str:
     line = (
         f"{k}) l(v)= {pair.len_v} c(u)= {pair.codim_u} "
@@ -60,6 +68,7 @@ def _pair_line(k: int, pair: MdPair, classify: bool) -> str:
 
 
 def cmd_ed(args) -> int:
+    _check_common(args)
     md = MarkedDiagram.parse(args.diagram, args.marked)
     mode = _MODES[args.mode]
     result = effective_divisibility(
@@ -95,6 +104,7 @@ def cmd_ed(args) -> int:
 
 
 def cmd_mdpairs(args) -> int:
+    _check_common(args)
     md = MarkedDiagram.parse(args.diagram, args.marked)
     pairs = md_pairs(
         md,
@@ -171,6 +181,7 @@ def _parse_side(text: str):
 
 
 def cmd_morphism(args) -> int:
+    _check_common(args)
     source = _parse_side(args.source)
     target = _parse_side(args.target)
     if not isinstance(target, MarkedDiagram):

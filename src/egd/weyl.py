@@ -7,6 +7,14 @@ is uniform across all families, multiplication is signed-permutation
 composition, and the length of an element is the number of positive roots
 it sends negative.  All arithmetic is over plain integers.
 
+Every interned element carries a dense integer ``id`` (0, 1, 2, ... in
+order of first construction within its context), so hot loops can key
+memos by ints instead of element pairs.  Left products s_i * w by simple
+generators are cached on w itself, one entry per generator, allocated on
+first use and filled one entry at a time: walks that step along s_i * w
+(the Bruhat descent recursion, the strata BFS, canonical words) compute
+each such product at most once per element.
+
 Roots live in the simple-root basis; the reflection in alpha_j maps a root
 with coordinates c to c', where c'_j = c_j - sum_i c_i * cartan[i][j] and
 all other coordinates are unchanged.
@@ -25,18 +33,21 @@ class WeylElement:
 
     Elements are interned per context, hashable, and totally ordered by
     (length, canonical word); the order is arbitrary but fixed, so sorted
-    output is reproducible.
+    output is reproducible.  ``id`` is the element's dense index within its
+    context; ``_left[i - 1]`` caches s_i * self (None until first needed).
     """
 
-    __slots__ = ("perm", "length", "ctx", "_hash", "_min_left", "_word")
+    __slots__ = ("perm", "length", "ctx", "id", "_hash", "_min_left", "_word", "_left")
 
-    def __init__(self, ctx: "WeylGroupContext", perm: tuple[int, ...]):
+    def __init__(self, ctx: "WeylGroupContext", perm: tuple[int, ...], elem_id: int):
         self.ctx = ctx
         self.perm = perm
+        self.id = elem_id
         self.length = sum(1 for v in perm if v < 0)
         self._hash = hash(perm)
         self._min_left = -1  # not yet computed
         self._word: Word | None = None
+        self._left: list[WeylElement | None] | None = None
 
     def __hash__(self) -> int:
         return self._hash
@@ -82,8 +93,10 @@ class WeylGroupContext:
     """Immutable environment for one Weyl group: roots, generator actions, caches.
 
     Construction is deterministic; contexts built twice from the same spec
-    are identical.  The memo dictionaries are pure caches and never change
-    an answer, so sharing a context across threads is safe.
+    are identical.  The memo dictionaries and the per-element left-product
+    caches are pure memos: an entry only ever holds the value it would be
+    recomputed as, so no cache changes an answer and sharing a context
+    across threads is safe.
     """
 
     def __init__(self, spec: DynkinSpec):
@@ -98,7 +111,8 @@ class WeylGroupContext:
         self.simple_reflections = tuple(
             self._make(self._reflection_perm(i)) for i in range(1, self.rank + 1)
         )
-        self.bruhat_cache: dict[tuple[WeylElement, WeylElement], bool] = {}
+        # keyed by (v.id << 32) | u.id (ids stay below 2**32), see bruhat_leq
+        self.bruhat_cache: dict[int, bool] = {}
         self._strata: dict[frozenset[int], list[list[WeylElement]]] = {}
         self._strata_done: dict[frozenset[int], bool] = {}
         self._costrata: dict[tuple[frozenset[int], int], list[WeylElement]] = {}
@@ -150,7 +164,7 @@ class WeylGroupContext:
     def _make(self, perm: tuple[int, ...]) -> WeylElement:
         elem = self._intern.get(perm)
         if elem is None:
-            elem = WeylElement(self, perm)
+            elem = WeylElement(self, perm, len(self._intern))
             self._intern[perm] = elem
         return elem
 
@@ -165,6 +179,18 @@ class WeylGroupContext:
             tuple(xp[v - 1] if v > 0 else -xp[-v - 1] for v in y.perm)
         )
 
+    def left_multiply(self, i: int, x: WeylElement) -> WeylElement:
+        """Product s_i * x, computed once per (i, x) and cached on x."""
+        if x.ctx is not self:
+            raise ContextMismatch("element does not belong to this context")
+        left = x._left
+        if left is None:
+            left = x._left = [None] * self.rank
+        y = left[i - 1]
+        if y is None:
+            y = left[i - 1] = self.multiply(self.simple_reflections[i - 1], x)
+        return y
+
     def inverse(self, x: WeylElement) -> WeylElement:
         if x.ctx is not self:
             raise ContextMismatch("element does not belong to this context")
@@ -175,10 +201,6 @@ class WeylGroupContext:
             else:
                 out[-v - 1] = -k
         return self._make(tuple(out))
-
-    def length(self, x: WeylElement) -> int:
-        """Number of positive roots sent negative; equals any reduced word's size."""
-        return x.length
 
     def descents(self, x: WeylElement, side: str = "right") -> frozenset[int]:
         """Generators i with l(x s_i) < l(x) (right) or l(s_i x) < l(x) (left)."""
@@ -205,7 +227,7 @@ class WeylGroupContext:
             if i == 0:
                 return tuple(letters)
             letters.append(i)
-            x = self.multiply(self.simple_reflections[i - 1], x)
+            x = self.left_multiply(i, x)
 
     def longest_in_parabolic(self, subset) -> WeylElement:
         """Longest element of the subgroup generated by the reflections in ``subset``.
@@ -243,30 +265,6 @@ class WeylGroupContext:
 def build_group(spec: DynkinSpec) -> WeylGroupContext:
     """Construct the full group environment for a diagram."""
     return WeylGroupContext(spec)
-
-
-def multiply(ctx: WeylGroupContext, x: WeylElement, y: WeylElement) -> WeylElement:
-    return ctx.multiply(x, y)
-
-
-def length(ctx: WeylGroupContext, x: WeylElement) -> int:
-    return ctx.length(x)
-
-
-def descents(ctx: WeylGroupContext, x: WeylElement, side: str = "right") -> frozenset[int]:
-    return ctx.descents(x, side)
-
-
-def from_word(ctx: WeylGroupContext, word) -> WeylElement:
-    return ctx.from_word(word)
-
-
-def canonical_word(ctx: WeylGroupContext, x: WeylElement) -> Word:
-    return ctx.canonical_word(x)
-
-
-def coxeter_number(ctx: WeylGroupContext) -> int:
-    return ctx.coxeter_number()
 
 
 def parse_word(text: str) -> Word:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from egd.cli import main
 
 
@@ -147,6 +149,36 @@ def test_exit_code_usage_errors(capsys):
     assert run(capsys, "ed", "D4", "none")[0] == 2
     assert run(capsys, "decompose", "D4", "1,7", "none")[0] == 2
     assert run(capsys, "morphism", "bogus", "A2:1")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ed", "D4", "all", "--workers", "0"),
+        ("ed", "D4", "all", "--budget", "-5"),
+        ("mdpairs", "D4", "all", "--workers", "-1"),
+        ("mdpairs", "D4", "all", "--budget", "-1"),
+        ("morphism", "A4:1", "A3:2", "--workers", "0"),
+        ("morphism", "A4:1", "A3:2", "--budget", "-5"),
+    ],
+)
+def test_bad_workers_and_budget_rejected_before_build(capsys, monkeypatch, argv):
+    import egd.engine
+
+    built = {}
+    monkeypatch.setattr(egd.engine, "_context_cache", built)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+    assert built == {}
+
+
+def test_zero_budget_still_accepted(capsys):
+    # 0 is in range: the closed form answers, brute force is infeasible
+    code, out, _ = run(capsys, "ed", "D4", "all", "--budget", "0")
+    assert code == 0 and "method = closed_form" in out.splitlines()
+    assert run(capsys, "ed", "D4", "all", "--mode", "brute", "--budget", "0")[0] == 3
 
 
 def test_exit_code_infeasible(capsys):
