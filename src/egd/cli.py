@@ -1,7 +1,8 @@
 """Command-line front end: ed sweeps, md-pair listings, decomposition, morphisms.
 
-Output is deterministic: identical inputs give byte-identical text and JSON
-regardless of worker count.  Exit codes: 0 success, 2 bad input, 3 infeasible.
+Output is deterministic: identical inputs give byte-identical text and JSON.
+The sweep runs in one process; ``--workers`` is accepted for compatibility
+and changes nothing.  Exit codes: 0 success, 2 bad input, 3 infeasible.
 """
 
 from __future__ import annotations
@@ -30,22 +31,6 @@ _MODES = {"closed": "closed_form", "brute": "brute_force", "both": "both"}
 
 def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _parse_nodes(spec: DynkinSpec, text: str) -> frozenset[int]:
-    text = text.strip().lower()
-    if text == "all":
-        return frozenset(spec.nodes)
-    if text == "none":
-        return frozenset()
-    try:
-        nodes = frozenset(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise EgdError(f"cannot parse node set {text!r}") from exc
-    bad = [i for i in nodes if i < 1 or i > spec.rank]
-    if bad:
-        raise EgdError(f"nodes {sorted(bad)} outside diagram {spec}")
-    return nodes
 
 
 def _check_common(args) -> None:
@@ -138,8 +123,8 @@ def cmd_mdpairs(args) -> int:
 
 def cmd_decompose(args) -> int:
     spec = DynkinSpec.parse(args.diagram)
+    jset = spec.parse_nodes(args.parabolic)
     ctx = get_context(spec)
-    jset = _parse_nodes(spec, args.parabolic)
     w = ctx.from_word(parse_word(args.word))
     dec = decompose(ctx, w, jset)
     cd = codims(ctx, w, jset)
@@ -215,8 +200,8 @@ def cmd_morphism(args) -> int:
 
 def cmd_strata(args) -> int:
     spec = DynkinSpec.parse(args.diagram)
+    jset = spec.parse_nodes(args.parabolic)
     ctx = get_context(spec)
-    jset = _parse_nodes(spec, args.parabolic)
     elems = quotient_elements_of_length(ctx, jset, args.length)
     words = [format_word(e.word()) for e in elems]
     if args.json:
@@ -238,7 +223,10 @@ def cmd_strata(args) -> int:
 
 def _add_common(sub) -> None:
     sub.add_argument("--json", action="store_true", help="emit a JSON record")
-    sub.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
+    sub.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for compatibility; the sweep runs in one process",
+    )
     sub.add_argument(
         "--budget", type=int, default=DEFAULT_BUDGET, help="quotient element budget"
     )

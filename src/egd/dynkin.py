@@ -77,6 +77,22 @@ class DynkinSpec:
             raise InvalidRank(f"cannot parse diagram {text!r}")
         return cls(m.group(1), int(m.group(2)))
 
+    def parse_nodes(self, text: str) -> frozenset[int]:
+        """Parse a node set: ``all``, ``none``, or comma-separated indices 1..rank."""
+        key = text.strip().lower()
+        if key == "all":
+            return frozenset(self.nodes)
+        if key == "none":
+            return frozenset()
+        try:
+            nodes = frozenset(int(p) for p in key.split(","))
+        except ValueError as exc:
+            raise EgdError(f"cannot parse node set {text!r}") from exc
+        bad = sorted(i for i in nodes if i < 1 or i > self.rank)
+        if bad:
+            raise EgdError(f"nodes {bad} outside diagram {self}")
+        return nodes
+
 
 def bonds(spec: DynkinSpec) -> list[tuple[int, int, int]]:
     """Edges of the diagram as (i, j, m) with m the Coxeter exponent 3, 4 or 6."""

@@ -17,7 +17,6 @@ route for the remaining exceptional quotients.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .bruhat import bruhat_leq, quotient_dimension, quotient_stratum
@@ -54,7 +53,7 @@ class MarkedDiagram:
     marked: frozenset[int]
 
     def __post_init__(self):
-        bad = [i for i in self.marked if i < 1 or i > self.spec.rank]
+        bad = sorted(i for i in self.marked if i < 1 or i > self.spec.rank)
         if bad:
             raise EgdError(f"marked nodes {bad} outside diagram {self.spec}")
 
@@ -69,17 +68,7 @@ class MarkedDiagram:
     @classmethod
     def parse(cls, diagram: str, marked: str) -> "MarkedDiagram":
         spec = DynkinSpec.parse(diagram)
-        text = marked.strip().lower()
-        if text == "all":
-            nodes = frozenset(spec.nodes)
-        elif text == "none":
-            nodes = frozenset()
-        else:
-            try:
-                nodes = frozenset(int(p) for p in text.split(","))
-            except ValueError as exc:
-                raise EgdError(f"cannot parse marked set {marked!r}") from exc
-        return cls(spec, nodes)
+        return cls(spec, spec.parse_nodes(marked))
 
 
 @dataclass(frozen=True)
@@ -146,110 +135,54 @@ def _infeasibility(spec: DynkinSpec, jset: frozenset[int], budget: int, extended
     return None
 
 
+def _parabolic_set(md: MarkedDiagram) -> frozenset[int]:
+    """J = complement(R); an empty R has no divisibility to compute."""
+    if not md.marked:
+        raise EmptyMarkedSet(f"{md.spec} needs at least one marked node")
+    return md.parabolic_set
+
+
 # -- degree sweep ------------------------------------------------------------
-
-_WORKER_CTX: WeylGroupContext | None = None
-
-
-def _sweep_worker_init(family: str, rank: int) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = get_context(DynkinSpec(family, rank))
-
-
-def _bucket_violations(
-    ctx: WeylGroupContext, jset: frozenset[int], s: int, len_v: int
-) -> list[tuple[WeylElement, WeylElement]]:
-    """Pairs (v, u) with l(v) = len_v, c^J(u) = s - len_v and v not<= u."""
-    dim = quotient_dimension(ctx, jset)
-    vs = quotient_stratum(ctx, jset, len_v)
-    us = quotient_stratum(ctx, jset, dim - (s - len_v))
-    return [(v, u) for v in vs for u in us if not bruhat_leq(ctx, v, u)]
-
-
-def _sweep_worker(args) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    jnodes, s, len_v = args
-    ctx = _WORKER_CTX
-    hits = _bucket_violations(ctx, frozenset(jnodes), s, len_v)
-    return [(v.word(), u.word()) for v, u in hits]
 
 
 def _sweep_degree(
-    ctx: WeylGroupContext,
-    jset: frozenset[int],
-    s: int,
-    halve: bool,
-    executor: ProcessPoolExecutor | None,
+    ctx: WeylGroupContext, jset: frozenset[int], s: int
 ) -> list[tuple[WeylElement, WeylElement]]:
-    """All violating pairs at degree s; over l(v) <= c^J(u) only when halved."""
+    """Violating pairs (v, u) at degree s with 0 < l(v) <= c^J(u).
+
+    x -> w_0 x w_{0J} reverses the Bruhat order on W^J and swaps l(v) with
+    c^J(u), so (v, u) violates iff (w_0 u w_{0J}, w_0 v w_{0J}) does: the
+    half l(v) <= c^J(u) holds a violation of degree s whenever one exists,
+    for every J.  Pairs come in bucket order: l(v) ascending, then stratum
+    order of v and of u.
+    """
     dim = quotient_dimension(ctx, jset)
-    buckets = [
-        l
-        for l in range(1, s)
-        if l <= dim and s - l <= dim and (not halve or l <= s - l)
-    ]
-    if executor is None:
-        out: list[tuple[WeylElement, WeylElement]] = []
-        for l in buckets:
-            out.extend(_bucket_violations(ctx, jset, s, l))
-        return out
-    jnodes = tuple(sorted(jset))
-    futures = [executor.submit(_sweep_worker, (jnodes, s, l)) for l in buckets]
-    out = []
-    for future in futures:
-        for v_word, u_word in future.result():
-            out.append((ctx.from_word(v_word), ctx.from_word(u_word)))
+    out: list[tuple[WeylElement, WeylElement]] = []
+    for len_v in range(max(1, s - dim), s // 2 + 1):
+        vs = quotient_stratum(ctx, jset, len_v)
+        us = quotient_stratum(ctx, jset, dim - (s - len_v))
+        out.extend((v, u) for v in vs for u in us if not bruhat_leq(ctx, v, u))
     return out
 
 
-def has_egd_up_to(
-    ctx: WeylGroupContext, jset, s: int, *, workers: int = 1
-) -> bool:
+def has_egd_up_to(ctx: WeylGroupContext, jset, s: int) -> bool:
     """Whether every pair at total degree s satisfies the Bruhat condition.
 
-    The complete-flag sweep checks only l(v) <= c(u); the two classes of a
-    violating pair swap under x -> w_0 x, so the halved scan is complete.
-    Proper quotients are checked over all ordered pairs.
+    Only pairs with l(v) <= c^J(u) are compared: the two classes of a
+    violating pair swap under x -> w_0 x w_{0J}, so that half of the pairs
+    holds a violation whenever one exists, for every parabolic set J, flags
+    and proper quotients alike.
     """
     jset = frozenset(jset)
     dim = quotient_dimension(ctx, jset)
     if s < 0 or s > dim:
         raise DegreeOutOfRange(f"degree {s} outside 0..{dim}")
-    halve = not jset
-    with _pool(ctx, workers) as executor:
-        return not _sweep_degree(ctx, jset, s, halve, executor)
+    return not _sweep_degree(ctx, jset, s)
 
 
-class _pool:
-    """Optional process pool; workers <= 1 stays in-process."""
-
-    def __init__(self, ctx: WeylGroupContext, workers: int):
-        self.ctx = ctx
-        self.workers = workers
-        self.executor = None
-
-    def __enter__(self) -> ProcessPoolExecutor | None:
-        if self.workers > 1:
-            self.executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_sweep_worker_init,
-                initargs=(self.ctx.spec.family, self.ctx.spec.rank),
-            )
-        return self.executor
-
-    def __exit__(self, *exc):
-        if self.executor is not None:
-            self.executor.shutdown()
-        return False
-
-
-def _listing(
-    ctx: WeylGroupContext,
-    jset: frozenset[int],
-    degree: int,
-    executor: ProcessPoolExecutor | None,
-) -> list[MdPair]:
+def _listing(ctx: WeylGroupContext, jset: frozenset[int], degree: int) -> list[MdPair]:
     """Violating pairs at a degree with 0 < l(v) <= c^J(u), deterministically sorted."""
-    hits = _sweep_degree(ctx, jset, degree, True, executor)
+    hits = _sweep_degree(ctx, jset, degree)
     hits.sort(key=lambda pair: (pair[0].length, pair[0].word(), pair[1].word()))
     return [
         MdPair(u=u, v=v, len_v=v.length, codim_u=degree - v.length, degree=degree)
@@ -257,16 +190,11 @@ def _listing(
     ]
 
 
-def _brute_ed(
-    ctx: WeylGroupContext,
-    jset: frozenset[int],
-    executor: ProcessPoolExecutor | None,
-) -> tuple[int, bool]:
+def _brute_ed(ctx: WeylGroupContext, jset: frozenset[int]) -> tuple[int, bool]:
     """Smallest failing degree minus one, capped at the dimension."""
     dim = quotient_dimension(ctx, jset)
-    halve = not jset
     for s in range(1, dim + 1):
-        if _sweep_degree(ctx, jset, s, halve, executor):
+        if _sweep_degree(ctx, jset, s):
             return s - 1, False
     return dim, True
 
@@ -283,12 +211,12 @@ def effective_divisibility(
 
     mode picks the computation path: "closed_form", "brute_force", or
     "both" (the default: run whichever are available and cross-check).
+    ``workers`` is accepted for compatibility and changes nothing: the
+    sweep runs in one process.
     """
     if mode not in ("closed_form", "brute_force", "both"):
         raise EgdError(f"unknown mode {mode!r}")
-    if not md.marked:
-        raise EmptyMarkedSet(f"{md.spec} needs at least one marked node")
-    jset = md.parabolic_set
+    jset = _parabolic_set(md)
     cf = closed_form_ed(md)
     blocked = _infeasibility(md.spec, jset, budget, extended)
 
@@ -306,9 +234,8 @@ def effective_divisibility(
         return EdResult(cf, "closed_form", None, cf, None, False)
 
     ctx = get_context(md.spec)
-    with _pool(ctx, workers) as executor:
-        bf, capped = _brute_ed(ctx, jset, executor)
-        witness_list = _listing(ctx, jset, bf + 1, executor)
+    bf, capped = _brute_ed(ctx, jset)
+    witness_list = _listing(ctx, jset, bf + 1)
     witness = witness_list[0] if witness_list else None
 
     if mode == "brute_force" or cf is None:
@@ -334,24 +261,22 @@ def md_pairs(
     Pairs are listed with l(v) <= c^J(u); the dual of each pair is
     recoverable through x -> w_0 x w_{0J}.  With ``classify`` (family D
     flags and their quotients) each pair is tagged with the marked nodes r
-    such that the pair pulls back from D(r).
+    such that the pair pulls back from D(r).  ``workers`` is accepted for
+    compatibility and changes nothing.
     """
-    if not md.marked:
-        raise EmptyMarkedSet(f"{md.spec} needs at least one marked node")
-    jset = md.parabolic_set
+    jset = _parabolic_set(md)
     blocked = _infeasibility(md.spec, jset, budget, extended)
     if blocked:
         raise Infeasible(blocked)
     ctx = get_context(md.spec)
-    with _pool(ctx, workers) as executor:
-        if degree is None:
-            value, _ = _brute_ed(ctx, jset, executor)
-            degree = value + 1
-        else:
-            dim = quotient_dimension(ctx, jset)
-            if degree < 0 or degree > dim + 1:
-                raise DegreeOutOfRange(f"degree {degree} outside 0..{dim + 1}")
-        pairs = _listing(ctx, jset, degree, executor)
+    if degree is None:
+        value, _ = _brute_ed(ctx, jset)
+        degree = value + 1
+    else:
+        dim = quotient_dimension(ctx, jset)
+        if degree < 0 or degree > dim + 1:
+            raise DegreeOutOfRange(f"degree {degree} outside 0..{dim + 1}")
+    pairs = _listing(ctx, jset, degree)
     if classify:
         pairs = classify_md_pairs(ctx, pairs, jset=jset)
     return pairs
@@ -389,19 +314,16 @@ def classify_md_pairs(
     return out
 
 
-def _resolve_ed(
-    side, *, budget: int, workers: int, extended: bool
-) -> tuple[int, str]:
+def _resolve_ed(side, *, budget: int, extended: bool) -> tuple[int, str]:
     """(ed value, display label) for a marked diagram or a user-supplied value."""
     if isinstance(side, int):
         return side, f"ed={side}"
-    if not side.marked:
-        raise EmptyMarkedSet(f"{side.spec} needs at least one marked node")
+    _parabolic_set(side)
     cf = closed_form_ed(side)
     if cf is not None:
         return cf, side.label()
     result = effective_divisibility(
-        side, "brute_force", budget=budget, workers=workers, extended=extended
+        side, "brute_force", budget=budget, extended=extended
     )
     return result.value, side.label()
 
@@ -420,14 +342,11 @@ def morphism_constancy(
     cycles would otherwise contradict the source's divisibility.  Anything
     else is "inconclusive" (never a claim that a nonconstant map exists).
     The proper-subdiagram rule is reported when it applies; in that case
-    the ed comparison always lands on "constant" as well.
+    the ed comparison always lands on "constant" as well.  ``workers`` is
+    accepted for compatibility and changes nothing.
     """
-    src_ed, src_label = _resolve_ed(
-        source, budget=budget, workers=workers, extended=extended
-    )
-    tgt_ed, tgt_label = _resolve_ed(
-        target, budget=budget, workers=workers, extended=extended
-    )
+    src_ed, src_label = _resolve_ed(source, budget=budget, extended=extended)
+    tgt_ed, tgt_label = _resolve_ed(target, budget=budget, extended=extended)
     rule = (
         isinstance(source, MarkedDiagram)
         and isinstance(target, MarkedDiagram)

@@ -1,6 +1,7 @@
 """CLI surface: text layouts, JSON round trips, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +155,22 @@ def test_exit_code_usage_errors(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("ed", "D4", "9,40"),
+        ("mdpairs", "D4", "40,9"),
+        ("morphism", "A4:9,40", "A3:2"),
+        ("strata", "D4", "1", "9,40"),
+        ("decompose", "D4", "1", "40,9"),
+    ],
+)
+def test_out_of_range_nodes_listed_sorted(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "nodes [9, 40] outside diagram" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("ed", "D4", "all", "--workers", "0"),
         ("ed", "D4", "all", "--budget", "-5"),
         ("mdpairs", "D4", "all", "--workers", "-1"),
@@ -198,3 +215,28 @@ def test_worker_count_does_not_change_output(capsys):
     one = run(capsys, "ed", "D4", "all", "--workers", "1")
     two = run(capsys, "ed", "D4", "all", "--workers", "2")
     assert one == two
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _readme_examples():
+    block = (REPO / "README.md").read_text().split("## CLI", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("egd ")]
+    return [line.split("#")[0].strip() for line in lines]
+
+
+def test_readme_examples_match_golden_output(capsys):
+    """Every README CLI example against tests/data/readme_cli.json.
+
+    The golden file holds stdout and exit codes recorded from this program's
+    own output: self-generated regression data that pins the bytes across
+    refactors, not an independent check of the values.
+    """
+    golden = json.loads((REPO / "tests" / "data" / "readme_cli.json").read_text())
+    examples = _readme_examples()
+    assert sorted(examples) == sorted(golden)
+    for example in examples:
+        code, out, _ = run(capsys, *example.split()[1:])
+        want = golden[example]
+        assert (code, out) == (want["rc"], want["stdout"]), example

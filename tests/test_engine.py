@@ -17,8 +17,11 @@ from egd import (
     longest_in_WJ,
     md_pairs,
     morphism_constancy,
+    quotient_dimension,
 )
-from egd.engine import _brute_ed
+from egd.bruhat import quotient_stratum
+from egd.dynkin import quotient_size
+from egd.engine import _brute_ed, _sweep_degree
 from egd.errors import (
     DegreeOutOfRange,
     EgdError,
@@ -59,6 +62,8 @@ def test_marked_diagram_parsing():
         MarkedDiagram.parse("D4", "5")
     with pytest.raises(EgdError):
         MarkedDiagram.parse("Z9", "all")
+    with pytest.raises(EgdError, match=r"marked nodes \[9, 40\] outside diagram D4"):
+        MarkedDiagram(DynkinSpec("D", 4), frozenset({40, 9, 2}))
 
 
 def test_closed_forms():
@@ -252,12 +257,52 @@ def test_corollary_monotonicity_d4():
         for jset in itertools.combinations(spec.nodes, k):
             jset = frozenset(jset)
             ed_of[jset] = (
-                float("inf") if jset == frozenset(spec.nodes) else _brute_ed(ctx, jset, None)[0]
+                float("inf") if jset == frozenset(spec.nodes) else _brute_ed(ctx, jset)[0]
             )
     for j1, e1 in ed_of.items():
         for j2, e2 in ed_of.items():
             if j1 <= j2:
                 assert e1 <= e2
+
+
+def _full_violations(ctx, jset, s):
+    """Unhalved reference scan: every ordered pair (v, u) at degree s with v not<= u."""
+    dim = quotient_dimension(ctx, jset)
+    return {
+        (v, u)
+        for len_v in range(1, s)
+        if len_v <= dim and s - len_v <= dim
+        for v in quotient_stratum(ctx, jset, len_v)
+        for u in quotient_stratum(ctx, jset, dim - (s - len_v))
+        if not bruhat_leq(ctx, v, u)
+    }
+
+
+def test_halved_sweep_is_complete():
+    # x -> w_0 x w_{0J} reverses Bruhat order on W^J and swaps l(v) with
+    # c^J(u): the half-scan plus the duals of its pairs is every violation.
+    checked = 0
+    for diagram in ("A4", "B3", "B4", "C4", "D4", "D5", "F4", "G2"):
+        spec = DynkinSpec.parse(diagram)
+        ctx = get_context(spec)
+        w0 = ctx.longest_element
+        for k in range(1, spec.rank + 1):
+            for marked in itertools.combinations(spec.nodes, k):
+                jset = frozenset(spec.nodes) - frozenset(marked)
+                if quotient_size(spec, jset) > 3000:
+                    continue
+                checked += 1
+                w0j = longest_in_WJ(ctx, jset)
+                dual = lambda x: ctx.multiply(ctx.multiply(w0, x), w0j)  # noqa: E731
+                dim = quotient_dimension(ctx, jset)
+                for s in range(1, dim + 2):
+                    half = _sweep_degree(ctx, jset, s)
+                    assert all(v.length <= s - v.length for v, _ in half)
+                    full = _full_violations(ctx, jset, s)
+                    assert set(half) | {(dual(u), dual(v)) for v, u in half} == full
+                    if full:
+                        break
+    assert checked == 116
 
 
 def test_workers_agree_with_serial():
