@@ -8,11 +8,13 @@ su and sv from the elements' left-product caches, so a product s_i * w is
 computed once per element however many comparisons pass through it.  An
 exhaustive subword scan is kept as an independent test oracle.
 
-Strata of W^J (minimal coset representatives, no right descent in J) are
-grown level by level: the successors of w in W^J are the products s_i * w
-(read from the same left-product cache) that land in W^J with length
-l(w) + 1.  High strata are obtained from low ones through the
-length-reversing bijection x -> w_0 * x * w_{0J}.
+Strata of W^J (minimal coset representatives, no right descent in J) live
+in one store per J on the context: a list indexed by length 0..dim, each
+entry filled on first use.  W^J is graded with every length 0..dim
+occupied.  Strata up to dim/2 are grown level by level: the successors of
+w in W^J are the products s_i * w (read from the same left-product cache)
+that land in W^J with length l(w) + 1.  Higher strata are the images of
+lower ones under the length-reversing bijection x -> w_0 * x * w_{0J}.
 """
 
 from __future__ import annotations
@@ -96,32 +98,6 @@ def _is_min_rep(elem: WeylElement, jset: frozenset[int]) -> bool:
     return all(perm[j - 1] > 0 for j in jset)
 
 
-def _grow_levels(ctx: WeylGroupContext, jset: frozenset[int], upto: int) -> list[list[WeylElement]]:
-    """BFS levels of W^J up to length ``upto`` (inclusive), cached incrementally."""
-    levels = ctx._strata.get(jset)
-    if levels is None:
-        levels = [[ctx.identity]]
-        ctx._strata[jset] = levels
-    if ctx._strata_done.get(jset):
-        return levels
-    left = ctx.left_multiply
-    gens = range(1, ctx.rank + 1)
-    while len(levels) <= upto:
-        frontier = levels[-1]
-        depth = len(levels)
-        nxt = set()
-        for w in frontier:
-            for i in gens:
-                x = left(i, w)
-                if x.length == depth and _is_min_rep(x, jset):
-                    nxt.add(x)
-        if not nxt:
-            ctx._strata_done[jset] = True
-            break
-        levels.append(sorted(nxt, key=lambda e: e.perm))
-    return levels
-
-
 def quotient_dimension(ctx: WeylGroupContext, jset) -> int:
     """l(w_0^J), the dimension of the corresponding homogeneous variety."""
     w0j = ctx.longest_in_parabolic(frozenset(jset))
@@ -131,32 +107,35 @@ def quotient_dimension(ctx: WeylGroupContext, jset) -> int:
 def quotient_stratum(ctx: WeylGroupContext, jset, l: int) -> list[WeylElement]:
     """Elements of W^J of length exactly l, in the internal deterministic order.
 
-    For l past the halfway point the stratum is produced from the low one
-    via x -> w_0 x w_{0J}, which reverses lengths along W^J.
+    Every length 0..dim is occupied, so each J has one store of dim + 1
+    strata.  Lengths up to dim/2 are grown level by level from the identity;
+    a longer stratum is the image of stratum dim - l under
+    x -> w_0 x w_{0J}, which reverses lengths along W^J.
     """
     jset = frozenset(jset)
     dim = quotient_dimension(ctx, jset)
     if l < 0 or l > dim:
         raise LengthOutOfRange(f"no stratum of length {l}; W^J has lengths 0..{dim}")
     levels = ctx._strata.get(jset)
-    if levels is not None and l < len(levels):
+    if levels is None:
+        levels = ctx._strata[jset] = [[ctx.identity]] + [None] * dim
+    if levels[l] is not None:
         return levels[l]
-    if 2 * l > dim:
-        cached = ctx._costrata.get((jset, l))
-        if cached is not None:
-            return cached
-        low = quotient_stratum(ctx, jset, dim - l)
-        w0 = ctx.longest_element
-        w0j = ctx.longest_in_parabolic(jset)
-        mapped = sorted(
-            (ctx.multiply(ctx.multiply(w0, x), w0j) for x in low),
+    left = ctx.left_multiply
+    gens = range(1, ctx.rank + 1)
+    for depth in range(1, min(l, dim - l) + 1):
+        if levels[depth] is None:
+            grown = {left(i, w) for w in levels[depth - 1] for i in gens}
+            levels[depth] = sorted(
+                (x for x in grown if x.length == depth and _is_min_rep(x, jset)),
+                key=lambda e: e.perm,
+            )
+    if levels[l] is None:
+        w0, w0j = ctx.longest_element, ctx.longest_in_parabolic(jset)
+        levels[l] = sorted(
+            (ctx.multiply(ctx.multiply(w0, x), w0j) for x in levels[dim - l]),
             key=lambda e: e.perm,
         )
-        ctx._costrata[(jset, l)] = mapped
-        return mapped
-    levels = _grow_levels(ctx, jset, l)
-    if l >= len(levels):
-        raise LengthOutOfRange(f"no stratum of length {l} in W^J")
     return levels[l]
 
 

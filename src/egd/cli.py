@@ -12,7 +12,7 @@ import json
 import sys
 
 from .bruhat import quotient_elements_of_length
-from .dynkin import DynkinSpec
+from .dynkin import DynkinSpec, num_positive_roots
 from .engine import (
     DEFAULT_BUDGET,
     MarkedDiagram,
@@ -56,9 +56,7 @@ def cmd_ed(args) -> int:
     _check_common(args)
     md = MarkedDiagram.parse(args.diagram, args.marked)
     mode = _MODES[args.mode]
-    result = effective_divisibility(
-        md, mode, budget=args.budget, workers=args.workers, extended=args.extended
-    )
+    result = effective_divisibility(md, mode, budget=args.budget, extended=args.extended)
     if args.json:
         _emit_json(
             {
@@ -96,25 +94,24 @@ def cmd_mdpairs(args) -> int:
         degree=args.degree,
         classify=args.classify,
         budget=args.budget,
-        workers=args.workers,
         extended=args.extended,
     )
-    degree = args.degree if args.degree is not None else (pairs[0].degree if pairs else None)
+    # without --degree the listing is the failing degree's, never empty
+    degree = args.degree if args.degree is not None else pairs[0].degree
     if args.json:
         _emit_json(
             {
                 "diagram": str(md.spec),
                 "marked": sorted(md.marked),
                 "degree": degree,
-                "ed": degree - 1 if args.degree is None and degree else None,
+                "ed": degree - 1 if args.degree is None else None,
                 "method": "brute_force",
                 "classified": args.classify,
                 "mdpairs": [p.record() for p in pairs],
             }
         )
         return 0
-    shown = f"degree={degree}" if degree is not None else "degree=ed+1"
-    print(f"mdpairs {md.label()} {shown}")
+    print(f"mdpairs {md.label()} degree={degree}")
     for k, pair in enumerate(pairs, start=1):
         print(_pair_line(k, pair, args.classify))
     print(f"total {len(pairs)}")
@@ -171,9 +168,7 @@ def cmd_morphism(args) -> int:
     target = _parse_side(args.target)
     if not isinstance(target, MarkedDiagram):
         raise EgdError("target must be DIAGRAM:MARKED")
-    verdict = morphism_constancy(
-        source, target, budget=args.budget, workers=args.workers, extended=args.extended
-    )
+    verdict = morphism_constancy(source, target, budget=args.budget, extended=args.extended)
     if args.json:
         _emit_json(
             {
@@ -201,6 +196,9 @@ def cmd_morphism(args) -> int:
 def cmd_strata(args) -> int:
     spec = DynkinSpec.parse(args.diagram)
     jset = spec.parse_nodes(args.parabolic)
+    top = num_positive_roots(spec)  # l(w_0) bounds every stratum of every W^J
+    if args.length < 0 or args.length > top:
+        raise EgdError(f"length {args.length} outside 0..{top}")
     ctx = get_context(spec)
     elems = quotient_elements_of_length(ctx, jset, args.length)
     words = [format_word(e.word()) for e in elems]

@@ -22,7 +22,6 @@ from math import factorial
 from .errors import EgdError, InvalidRank
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
-CLASSICAL = ("A", "B", "C", "D")
 
 _RANK_BOUNDS = {
     "A": (1, None),
@@ -61,10 +60,6 @@ class DynkinSpec:
     @property
     def nodes(self) -> tuple[int, ...]:
         return tuple(range(1, self.rank + 1))
-
-    @property
-    def is_classical(self) -> bool:
-        return self.family in CLASSICAL
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -115,18 +110,6 @@ def bonds(spec: DynkinSpec) -> list[tuple[int, int, int]]:
     if fam == "F":
         return [(1, 2, 3), (2, 3, 4), (3, 4, 3)]
     return [(1, 2, 6)]  # G2
-
-
-def coxeter_matrix(spec: DynkinSpec) -> tuple[tuple[int, ...], ...]:
-    """Symmetric matrix of pairwise reflection orders, m[i][i] = 1."""
-    n = spec.rank
-    m = [[2] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = 1
-    for i, j, mult in bonds(spec):
-        m[i - 1][j - 1] = mult
-        m[j - 1][i - 1] = mult
-    return tuple(tuple(row) for row in m)
 
 
 def cartan_matrix(spec: DynkinSpec) -> tuple[tuple[int, ...], ...]:

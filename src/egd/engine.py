@@ -3,11 +3,14 @@
 A marked diagram D(R) is the homogeneous variety G/P_J with J the
 complement of R.  Its effective good divisibility is the largest s such
 that every pair u, v in W^J with l(v) + c^J(u) = s satisfies v <= u in the
-Bruhat order; the first failing degree exposes the maximal disjoint pairs.
-Degrees are swept increasing (divisibility up to s implies it up to every
-r <= s), and the sweep never goes past the dimension l(w_0^J): in larger
-total codimension every product lands in a zero group, so if no violation
-appears the value is exactly the dimension.
+Bruhat order.  Degrees are swept increasing, each once (divisibility up
+to s implies it up to every r <= s), and the sweep stops at the first
+failing degree: its violating pairs are the maximal disjoint pairs, so
+one pass gives both the value and the md-pair listing.  The value never
+exceeds the dimension l(w_0^J): in larger total codimension every product
+lands in a zero group.  Degree dim + 1 always fails, so a sweep with no
+violation up to the dimension is capped there and lists the pairs of
+degree dim + 1.
 
 Closed forms: A_n(R) = n, B_n(R) = C_n(R) = 2n-1, D_n(R) = 2n-3 when R
 meets {1, n-1, n} and 2n-2 otherwise; complete flags of G2, F4, E6 give
@@ -190,13 +193,21 @@ def _listing(ctx: WeylGroupContext, jset: frozenset[int], degree: int) -> list[M
     ]
 
 
-def _brute_ed(ctx: WeylGroupContext, jset: frozenset[int]) -> tuple[int, bool]:
-    """Smallest failing degree minus one, capped at the dimension."""
+def _brute_ed(
+    ctx: WeylGroupContext, jset: frozenset[int]
+) -> tuple[int, bool, list[MdPair]]:
+    """Sweep degrees 1..dim + 1 once each, up to the first failing degree s.
+
+    Returns (s - 1, whether s = dim + 1, the sorted violating pairs of
+    degree s).  Degree dim + 1 always fails (l(v) = l(u) + 1), so for
+    dim >= 1 the listing is never empty.
+    """
     dim = quotient_dimension(ctx, jset)
-    for s in range(1, dim + 1):
-        if _sweep_degree(ctx, jset, s):
-            return s - 1, False
-    return dim, True
+    for s in range(1, dim + 2):
+        pairs = _listing(ctx, jset, s)
+        if pairs:
+            break
+    return s - 1, s > dim, pairs
 
 
 def effective_divisibility(
@@ -204,15 +215,13 @@ def effective_divisibility(
     mode: str = "both",
     *,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
     extended: bool = False,
 ) -> EdResult:
     """Effective good divisibility of the marked diagram.
 
     mode picks the computation path: "closed_form", "brute_force", or
     "both" (the default: run whichever are available and cross-check).
-    ``workers`` is accepted for compatibility and changes nothing: the
-    sweep runs in one process.
+    The witness is the first pair of the failing degree's listing.
     """
     if mode not in ("closed_form", "brute_force", "both"):
         raise EgdError(f"unknown mode {mode!r}")
@@ -234,9 +243,8 @@ def effective_divisibility(
         return EdResult(cf, "closed_form", None, cf, None, False)
 
     ctx = get_context(md.spec)
-    bf, capped = _brute_ed(ctx, jset)
-    witness_list = _listing(ctx, jset, bf + 1)
-    witness = witness_list[0] if witness_list else None
+    bf, capped, pairs = _brute_ed(ctx, jset)
+    witness = pairs[0]
 
     if mode == "brute_force" or cf is None:
         return EdResult(bf, "brute_force", witness, None, bf, capped)
@@ -253,7 +261,6 @@ def md_pairs(
     degree: int | None = None,
     classify: bool = False,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
     extended: bool = False,
 ) -> list[MdPair]:
     """All maximal disjoint pairs of md (or the violating pairs at ``degree``).
@@ -261,8 +268,8 @@ def md_pairs(
     Pairs are listed with l(v) <= c^J(u); the dual of each pair is
     recoverable through x -> w_0 x w_{0J}.  With ``classify`` (family D
     flags and their quotients) each pair is tagged with the marked nodes r
-    such that the pair pulls back from D(r).  ``workers`` is accepted for
-    compatibility and changes nothing.
+    such that the pair pulls back from D(r).  Without ``degree`` the pairs
+    are the ones the degree sweep found at its failing degree ed + 1.
     """
     jset = _parabolic_set(md)
     blocked = _infeasibility(md.spec, jset, budget, extended)
@@ -270,13 +277,12 @@ def md_pairs(
         raise Infeasible(blocked)
     ctx = get_context(md.spec)
     if degree is None:
-        value, _ = _brute_ed(ctx, jset)
-        degree = value + 1
+        pairs = _brute_ed(ctx, jset)[2]
     else:
         dim = quotient_dimension(ctx, jset)
         if degree < 0 or degree > dim + 1:
             raise DegreeOutOfRange(f"degree {degree} outside 0..{dim + 1}")
-    pairs = _listing(ctx, jset, degree)
+        pairs = _listing(ctx, jset, degree)
     if classify:
         pairs = classify_md_pairs(ctx, pairs, jset=jset)
     return pairs
@@ -333,7 +339,6 @@ def morphism_constancy(
     target: MarkedDiagram,
     *,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
     extended: bool = False,
 ) -> MorphismVerdict:
     """Decide constancy of morphisms source -> target from divisibility alone.
@@ -342,8 +347,7 @@ def morphism_constancy(
     cycles would otherwise contradict the source's divisibility.  Anything
     else is "inconclusive" (never a claim that a nonconstant map exists).
     The proper-subdiagram rule is reported when it applies; in that case
-    the ed comparison always lands on "constant" as well.  ``workers`` is
-    accepted for compatibility and changes nothing.
+    the ed comparison always lands on "constant" as well.
     """
     src_ed, src_label = _resolve_ed(source, budget=budget, extended=extended)
     tgt_ed, tgt_label = _resolve_ed(target, budget=budget, extended=extended)

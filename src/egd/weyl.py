@@ -113,9 +113,8 @@ class WeylGroupContext:
         )
         # keyed by (v.id << 32) | u.id (ids stay below 2**32), see bruhat_leq
         self.bruhat_cache: dict[int, bool] = {}
-        self._strata: dict[frozenset[int], list[list[WeylElement]]] = {}
-        self._strata_done: dict[frozenset[int], bool] = {}
-        self._costrata: dict[tuple[frozenset[int], int], list[WeylElement]] = {}
+        # J -> strata of W^J by length 0..dim, None until built (quotient_stratum)
+        self._strata: dict[frozenset[int], list[list[WeylElement] | None]] = {}
         self._longest_parabolic: dict[frozenset[int], WeylElement] = {}
         self.longest_element = self.longest_in_parabolic(frozenset(spec.nodes))
         if self.longest_element.length != self.num_positive_roots:

@@ -156,18 +156,35 @@ def test_sweep_computes_each_left_product_once(monkeypatch):
     md = MarkedDiagram.parse("D5", "all")
     get_context(md.spec)  # fresh context; its construction is not counted
     products = Counter()
+    pairs = Counter()
     multiply = WeylGroupContext.multiply
+    leq = egd.engine.bruhat_leq
 
     def counting(self, x, y):
         if x.length == 1:  # x is a simple reflection: a left product s_i * y
             products[x, y] += 1
         return multiply(self, x, y)
 
+    def counting_leq(ctx, v, u):
+        pairs[v, u] += 1
+        return leq(ctx, v, u)
+
     monkeypatch.setattr(WeylGroupContext, "multiply", counting)
+    # the engine's module global, the name the sweep (and a tracer) goes through
+    monkeypatch.setattr(egd.engine, "bruhat_leq", counting_leq)
     result = effective_divisibility(md, "brute_force")
     assert result.value == 7
     assert len(products) > 1000
     assert max(products.values()) == 1
+    # one pass: the failing degree is swept once, its pairs are the witness list
+    assert len(pairs) > 0
+    assert max(pairs.values()) == 1
+
+    pairs.clear()
+    listing = egd.engine.md_pairs(md)
+    assert listing and listing[0] == result.witness
+    assert len(pairs) > 0
+    assert max(pairs.values()) == 1
 
 
 def test_subword_oracle_examples():

@@ -177,6 +177,11 @@ def test_out_of_range_nodes_listed_sorted(capsys, argv):
         ("mdpairs", "D4", "all", "--budget", "-1"),
         ("morphism", "A4:1", "A3:2", "--workers", "0"),
         ("morphism", "A4:1", "A3:2", "--budget", "-5"),
+        # strata lengths outside 0..l(w_0); A60 would take seconds to build
+        ("strata", "D4", "-1"),
+        ("strata", "D4", "13"),
+        ("strata", "D4", "-1", "2,3,4"),
+        ("strata", "A60", "2000"),
     ],
 )
 def test_bad_workers_and_budget_rejected_before_build(capsys, monkeypatch, argv):
@@ -189,6 +194,13 @@ def test_bad_workers_and_budget_rejected_before_build(capsys, monkeypatch, argv)
     assert err.startswith("error:")
     assert out == ""
     assert built == {}
+
+
+def test_strata_length_past_quotient_dimension(capsys):
+    # 7 <= l(w_0) = 12 passes the early check; W^J of D4(1) has lengths 0..6
+    code, out, err = run(capsys, "strata", "D4", "7", "2,3,4")
+    assert code == 2 and out == ""
+    assert err.startswith("error: no stratum of length 7")
 
 
 def test_zero_budget_still_accepted(capsys):

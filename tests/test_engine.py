@@ -305,13 +305,6 @@ def test_halved_sweep_is_complete():
     assert checked == 116
 
 
-def test_workers_agree_with_serial():
-    serial = md_pairs(flag("D4"))
-    parallel = md_pairs(flag("D4"), workers=2)
-    assert serial == parallel
-    assert effective_divisibility(flag("D4"), "brute_force", workers=2).value == 5
-
-
 def test_morphism_verdicts():
     cases = [
         (("A4", "1"), ("A3", "2"), "constant"),
