@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .bruhat import bruhat_leq, quotient_dimension, quotient_stratum
-from .dynkin import DynkinSpec, is_proper_subdiagram, quotient_size
+from .dynkin import DynkinSpec, is_proper_subdiagram, num_positive_roots, quotient_size
 from .errors import DegreeOutOfRange, EgdError, EmptyMarkedSet, Infeasible
 from .parabolic import (
     decompose,
@@ -35,14 +35,26 @@ from .parabolic import (
 from .weyl import WeylElement, WeylGroupContext, build_group
 
 DEFAULT_BUDGET = 10**6
+# Largest group built: A100 (5,050 positive roots) builds in about 0.3 s,
+# and `ed A100 1` runs in about 4 s at 235 MB peak RSS.
+MAX_POSITIVE_ROOTS = 5050
 
 _context_cache: dict[DynkinSpec, WeylGroupContext] = {}
 
 
 def get_context(spec: DynkinSpec) -> WeylGroupContext:
-    """Shared per-spec context; construction is deterministic so sharing is safe."""
+    """Shared per-spec context; construction is deterministic so sharing is safe.
+
+    Raises Infeasible, before building anything, for a group with more than
+    MAX_POSITIVE_ROOTS positive roots.
+    """
     ctx = _context_cache.get(spec)
     if ctx is None:
+        roots = num_positive_roots(spec)
+        if roots > MAX_POSITIVE_ROOTS:
+            raise Infeasible(
+                f"{spec} has {roots} positive roots, over the limit of {MAX_POSITIVE_ROOTS}"
+            )
         ctx = build_group(spec)
         _context_cache[spec] = ctx
     return ctx

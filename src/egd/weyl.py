@@ -17,15 +17,36 @@ each such product at most once per element.
 
 Roots live in the simple-root basis; the reflection in alpha_j maps a root
 with coordinates c to c', where c'_j = c_j - sum_i c_i * cartan[i][j] and
-all other coordinates are unchanged.
+all other coordinates are unchanged.  One pass closes the simple roots
+under the reflections (s_j permutes the positive roots other than
+alpha_j, which it negates).  Each root carries its pairings with all
+generators, so only the few reflections that move it are applied, and the
+pass records the pairs of roots each s_j exchanges.  Right multiplication
+by s_j is then those swaps plus a sign flip at alpha_j, done in place on a
+plain list: that builds the generators and the longest parabolic elements
+w_{0J}, and only the results are interned, so a fresh context holds the
+identity, the generators and w_0.
+
+A product x * y is a table lookup: with table = [0, x(1), ..., x(N),
+-x(N), ..., -x(1)], the image of root k under x * y is table[y(k)], a
+negative index reading -x(|k|).  The tables of the identity and the
+generators are built once per context.
 """
 
 from __future__ import annotations
+
+from itertools import compress
+from operator import neg
 
 from .dynkin import DynkinSpec, cartan_matrix
 from .errors import BadLetter, ContextMismatch, InvalidRank
 
 Word = tuple[int, ...]
+
+
+def _table(perm: tuple[int, ...]) -> list[int]:
+    """Lookup table of ``perm``: entry k, k negative too, is the image of root k."""
+    return [0, *perm, *map(neg, reversed(perm))]
 
 
 class WeylElement:
@@ -43,7 +64,7 @@ class WeylElement:
         self.ctx = ctx
         self.perm = perm
         self.id = elem_id
-        self.length = sum(1 for v in perm if v < 0)
+        self.length = sum(map((0).__gt__, perm))
         self._hash = hash(perm)
         self._min_left = -1  # not yet computed
         self._word: Word | None = None
@@ -77,12 +98,9 @@ class WeylElement:
     def min_left_descent(self) -> int:
         """Smallest i with l(s_i w) < l(w), or 0 for the identity."""
         if self._min_left < 0:
-            rank = self.ctx.rank
-            best = 0
-            for v in self.perm:
-                if -rank <= v < 0 and (best == 0 or -v < best):
-                    best = -v
-            self._min_left = best
+            # s_i is a left descent iff w sends some positive root to -alpha_i
+            hits = self.ctx._negated_simple.intersection(self.perm)
+            self._min_left = -max(hits, default=0)
         return self._min_left
 
     def __repr__(self) -> str:
@@ -103,14 +121,21 @@ class WeylGroupContext:
         self.spec = spec
         self.rank = spec.rank
         self.cartan = cartan_matrix(spec)
-        self.positive_roots = self._close_roots()
+        self.positive_roots, self._swaps = self._close_roots()
         self.num_positive_roots = len(self.positive_roots)
-        self._root_index = {r: k + 1 for k, r in enumerate(self.positive_roots)}
+        self._negated_simple = frozenset(range(-self.rank, 0))
         self._intern: dict[tuple[int, ...], WeylElement] = {}
         self.identity = self._make(tuple(range(1, self.num_positive_roots + 1)))
-        self.simple_reflections = tuple(
-            self._make(self._reflection_perm(i)) for i in range(1, self.rank + 1)
-        )
+        gens = []
+        for i in range(1, self.rank + 1):
+            perm = list(self.identity.perm)
+            self._times_generator(perm, i)
+            gens.append(self._make(tuple(perm)))
+        self.simple_reflections = tuple(gens)
+        # tables of ids 0..rank, the identity and the generators (see multiply);
+        # the generators' entries are the identity table's int objects
+        ident = _table(self.identity.perm)
+        self._tables = [ident] + [list(map(ident.__getitem__, _table(s.perm))) for s in gens]
         # keyed by (v.id << 32) | u.id (ids stay below 2**32), see bruhat_leq
         self.bruhat_cache: dict[int, bool] = {}
         # J -> strata of W^J by length 0..dim, None until built (quotient_stratum)
@@ -125,40 +150,55 @@ class WeylGroupContext:
 
     # -- construction ------------------------------------------------------
 
-    def _reflect_vector(self, vec: tuple[int, ...], j: int) -> tuple[int, ...]:
-        cart = self.cartan
-        pairing = sum(c * cart[i][j - 1] for i, c in enumerate(vec))
-        out = list(vec)
-        out[j - 1] -= pairing
-        return tuple(out)
+    def _close_roots(self):
+        """Positive roots in order, and the pairs of root positions each s_j swaps.
 
-    def _close_roots(self) -> tuple[tuple[int, ...], ...]:
+        Simple roots come first, then the rest by (height, coordinates).
+        ``swaps[j - 1]`` lists the 0-based positions (k, t), k < t, of the
+        roots s_j exchanges; s_j also negates alpha_j and fixes the rest.
+
+        Each root carries its pairings p_k = sum_i c_i * cartan[i][k] with
+        all generators, so only the s_j with p_j != 0 are applied; the
+        pairings of s_j(c) are p_k - p_j * cartan[j][k], which changes only
+        the few k with cartan[j][k] != 0.
+        """
         n = self.rank
+        cart = self.cartan
+        rows = [[(k, a) for k, a in enumerate(row) if a] for row in cart]
         simple = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-        seen = set(simple)
+        pairings = {r: list(cart[j]) for j, r in enumerate(simple)}
+        moved = [[] for _ in range(n)]  # j -> (root, s_{j+1} root) per root it moves
         queue = list(simple)
         while queue:
             vec = queue.pop()
-            for j in range(1, n + 1):
-                img = self._reflect_vector(vec, j)
-                if img not in seen:
-                    seen.add(img)
+            pairing = pairings[vec]
+            for j in compress(range(n), pairing):
+                p = pairing[j]
+                if vec[j] < p:  # vec is alpha_j
+                    continue
+                img = list(vec)
+                img[j] -= p
+                img = tuple(img)
+                moved[j].append((vec, img))
+                if img not in pairings:
+                    new = pairings[img] = pairing.copy()
+                    for k, a in rows[j]:
+                        new[k] -= p * a
                     queue.append(img)
-        positive = [r for r in seen if all(c >= 0 for c in r)]
-        rest = sorted(
-            (r for r in positive if r not in simple), key=lambda r: (sum(r), r)
-        )
-        return tuple(simple + rest)
+        rest = sorted(pairings.keys() - set(simple), key=lambda r: (sum(r), r))
+        roots = tuple(simple + rest)
+        index = {r: k for k, r in enumerate(roots)}
+        swaps = [
+            [(index[a], index[b]) for a, b in pairs if index[a] < index[b]]
+            for pairs in moved
+        ]
+        return roots, swaps
 
-    def _reflection_perm(self, i: int) -> tuple[int, ...]:
-        out = []
-        for root in self.positive_roots:
-            img = self._reflect_vector(root, i)
-            if min(img) >= 0:
-                out.append(self._root_index[img])
-            else:
-                out.append(-self._root_index[tuple(-c for c in img)])
-        return tuple(out)
+    def _times_generator(self, perm: list[int], i: int) -> None:
+        """perm <- perm * s_i, in place."""
+        for k, t in self._swaps[i - 1]:
+            perm[k], perm[t] = perm[t], perm[k]
+        perm[i - 1] = -perm[i - 1]
 
     def _make(self, perm: tuple[int, ...]) -> WeylElement:
         elem = self._intern.get(perm)
@@ -173,10 +213,8 @@ class WeylGroupContext:
         """Product x*y in canonical form."""
         if x.ctx is not self or y.ctx is not self:
             raise ContextMismatch("elements do not belong to this context")
-        xp = x.perm
-        return self._make(
-            tuple(xp[v - 1] if v > 0 else -xp[-v - 1] for v in y.perm)
-        )
+        table = self._tables[x.id] if x.id <= self.rank else _table(x.perm)
+        return self._make(tuple(map(table.__getitem__, y.perm)))
 
     def left_multiply(self, i: int, x: WeylElement) -> WeylElement:
         """Product s_i * x, computed once per (i, x) and cached on x."""
@@ -232,7 +270,8 @@ class WeylGroupContext:
         """Longest element of the subgroup generated by the reflections in ``subset``.
 
         Built by right-multiplying the smallest non-descent generator until
-        every generator in the subset is a descent.
+        every generator in the subset is a descent, on a plain list: only
+        the result is interned.
         """
         key = frozenset(subset)
         cached = self._longest_parabolic.get(key)
@@ -241,14 +280,14 @@ class WeylGroupContext:
         for i in key:
             if not 1 <= i <= self.rank:
                 raise BadLetter(f"node {i} outside 1..{self.rank}")
-        x = self.identity
+        perm = list(self.identity.perm)
         ordered = sorted(key)
         while True:
-            i = next((i for i in ordered if x.perm[i - 1] > 0), None)
+            i = next((i for i in ordered if perm[i - 1] > 0), None)
             if i is None:
                 break
-            x = self.multiply(x, self.simple_reflections[i - 1])
-        self._longest_parabolic[key] = x
+            self._times_generator(perm, i)
+        x = self._longest_parabolic[key] = self._make(tuple(perm))
         return x
 
     def coxeter_number(self) -> int:

@@ -196,6 +196,40 @@ def test_bad_workers_and_budget_rejected_before_build(capsys, monkeypatch, argv)
     assert built == {}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ed", "A200", "1"),
+        ("strata", "A200", "3"),
+        ("decompose", "A200", "1", "2"),
+    ],
+)
+def test_huge_group_refused_before_build(capsys, monkeypatch, argv):
+    import egd.engine
+
+    def no_build(spec):
+        raise AssertionError(f"built {spec}")
+
+    built = {}
+    monkeypatch.setattr(egd.engine, "_context_cache", built)
+    monkeypatch.setattr(egd.engine, "build_group", no_build)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("infeasible: A200 has 20100 positive roots")
+    assert out == ""
+    assert built == {}
+
+
+def test_root_limit_admits_the_largest_benchmarked_groups():
+    from egd import DynkinSpec
+    from egd.dynkin import num_positive_roots
+    from egd.engine import MAX_POSITIVE_ROOTS
+
+    for text in ("A50", "B30", "D30", "E8", "A100"):
+        assert num_positive_roots(DynkinSpec.parse(text)) <= MAX_POSITIVE_ROOTS
+    assert num_positive_roots(DynkinSpec.parse("A101")) > MAX_POSITIVE_ROOTS
+
+
 def test_strata_length_past_quotient_dimension(capsys):
     # 7 <= l(w_0) = 12 passes the early check; W^J of D4(1) has lengths 0..6
     code, out, err = run(capsys, "strata", "D4", "7", "2,3,4")

@@ -3,16 +3,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from egd import (
     DynkinSpec,
+    build_group,
+    decompose,
     elements_of_length,
     get_context,
     group_order,
     parse_word,
     format_word,
 )
+from egd.dynkin import cartan_matrix
 from egd.errors import BadLetter, ContextMismatch, InvalidRank
+from test_bruhat import spec_and_words
 
 
 # -- independent oracles ------------------------------------------------------
@@ -276,3 +281,188 @@ def test_word_serialization():
     assert format_word((1, 2)) == "1,2"
     with pytest.raises(BadLetter):
         parse_word("1,x")
+
+
+# -- context tables against a dense reference ---------------------------------
+
+
+def compose(xp, yp):
+    """Signed-permutation product x*y of two perm tuples, one root at a time."""
+    return tuple(xp[v - 1] if v > 0 else -xp[-v - 1] for v in yp)
+
+
+def dense_reference(cartan):
+    """Positive roots, generator perms and w0 perm, built the direct way.
+
+    Closes the simple roots under every reflection (negative roots too)
+    with the pairing summed over all Cartan entries, indexes each reflected
+    root by lookup, and builds w0 by composing generator perms until every
+    generator is a right descent.
+    """
+    n = len(cartan)
+
+    def reflect(vec, j):
+        pairing = sum(c * cartan[i][j] for i, c in enumerate(vec))
+        return vec[:j] + (vec[j] - pairing,) + vec[j + 1 :]
+
+    simple = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+    seen = set(simple)
+    queue = list(simple)
+    while queue:
+        vec = queue.pop()
+        for j in range(n):
+            img = reflect(vec, j)
+            if img not in seen:
+                seen.add(img)
+                queue.append(img)
+    rest = sorted(
+        (r for r in seen if min(r) >= 0 and r not in simple), key=lambda r: (sum(r), r)
+    )
+    roots = tuple(simple + rest)
+    index = {r: k + 1 for k, r in enumerate(roots)}
+    gens = []
+    for j in range(n):
+        perm = []
+        for root in roots:
+            img = reflect(root, j)
+            perm.append(index[img] if min(img) >= 0 else -index[tuple(-c for c in img)])
+        gens.append(tuple(perm))
+    w0 = tuple(range(1, len(roots) + 1))
+    while True:
+        i = next((i for i in range(n) if w0[i] > 0), None)
+        if i is None:
+            return roots, gens, w0
+        w0 = compose(w0, gens[i])
+
+
+TABLE_SPECS = (
+    [DynkinSpec("A", n) for n in range(1, 9)]
+    + [DynkinSpec("B", n) for n in range(2, 8)]
+    + [DynkinSpec("C", n) for n in range(2, 6)]
+    + [DynkinSpec("D", n) for n in range(4, 9)]
+    + [DynkinSpec("E", n) for n in (6, 7, 8)]
+    + [DynkinSpec("F", 4), DynkinSpec("G", 2)]
+)
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
+def test_context_tables_match_dense_reference(spec):
+    ctx = build_group(spec)
+    roots, gens, w0 = dense_reference(cartan_matrix(spec))
+    assert ctx.positive_roots == roots
+    assert [s.perm for s in ctx.simple_reflections] == gens
+    assert ctx.longest_element.perm == w0
+
+
+def opposition(spec):
+    """The diagram automorphism -w0 induces on the nodes, 0-based, as a list."""
+    n = spec.rank
+    nodes = list(range(n))
+    if spec.family == "A":
+        return nodes[::-1]
+    if spec.family == "D" and n % 2:
+        return nodes[:-2] + [n - 1, n - 2]
+    if spec.family == "E" and n == 6:
+        return [5, 1, 4, 3, 2, 0]  # 1 <-> 6, 3 <-> 5 (Bourbaki labels)
+    return nodes
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
+def test_longest_element_closed_form(spec):
+    """w0 = -iota, iota the opposition involution of the diagram."""
+    ctx = build_group(spec)
+    w0 = ctx.longest_element.perm
+    iota = opposition(spec)
+    if iota == list(range(spec.rank)):  # B, C, D even, E7, E8, F4, G2: w0 = -1
+        assert w0 == tuple(range(-1, -ctx.num_positive_roots - 1, -1))
+    if spec.family == "A":  # w0 sends alpha_i to -alpha_{n+1-i}
+        assert w0[: spec.rank] == tuple(range(-spec.rank, 0))
+    for k, root in enumerate(ctx.positive_roots):
+        image = tuple(root[iota[i]] for i in range(spec.rank))
+        assert w0[k] == -(ctx.positive_roots.index(image) + 1)
+
+
+def test_fresh_context_interns_identity_generators_and_w0():
+    ctx = build_group(DynkinSpec("A", 20))
+    assert len(ctx._intern) == ctx.rank + 2
+    assert set(ctx._intern.values()) == {
+        ctx.identity, *ctx.simple_reflections, ctx.longest_element
+    }
+
+
+# -- kernel properties ----------------------------------------------------------
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(spec_and_words())
+def test_multiply_associative_and_matches_composition(case):
+    spec, a_word, b_word = case
+    ctx = get_context(spec)
+    a, b = ctx.from_word(a_word), ctx.from_word(b_word)
+    c = ctx.from_word(b_word[::2] + a_word[1::2])
+    assert ctx.multiply(a, b).perm == compose(a.perm, b.perm)
+    assert ctx.multiply(ctx.multiply(a, b), c) is ctx.multiply(a, ctx.multiply(b, c))
+    for x in (a, b, c):
+        assert ctx.multiply(x, ctx.inverse(x)) is ctx.identity
+        assert ctx.multiply(ctx.inverse(x), x) is ctx.identity
+
+
+def reduced_words(perm, gens, length):
+    """Every reduced word of the element ``perm`` of the given length, by search.
+
+    A prefix is kept while it evaluates to some y with l(y) + l(y^-1 x) =
+    l(x); perms are composed with ``compose``, lengths counted directly.
+    """
+
+    def size(p):
+        return sum(1 for v in p if v < 0)
+
+    def inverse(p):
+        out = [0] * len(p)
+        for k, v in enumerate(p, start=1):
+            out[abs(v) - 1] = k if v > 0 else -k
+        return tuple(out)
+
+    found = []
+
+    def extend(word, y):
+        if len(word) == length:
+            if y == perm:
+                found.append(tuple(word))
+            return
+        for i, s in enumerate(gens, start=1):
+            z = compose(y, s)
+            if size(z) == len(word) + 1 and size(compose(inverse(z), perm)) == length - size(z):
+                extend(word + [i], z)
+
+    extend([], tuple(range(1, len(perm) + 1)))
+    return found
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(spec_and_words())
+def test_canonical_word_reduced_and_lex_minimal(case):
+    spec, x_word, _ = case
+    ctx = get_context(spec)
+    x = ctx.from_word(x_word)
+    word = ctx.canonical_word(x)
+    assert len(word) == x.length
+    assert ctx.from_word(word) is x
+    if x.length <= 6:
+        words = reduced_words(x.perm, [s.perm for s in ctx.simple_reflections], x.length)
+        assert word in words
+        assert word == min(words)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(spec_and_words())
+def test_decompose_invariants(case):
+    spec, j_word, w_word = case
+    ctx = get_context(spec)
+    jset = frozenset(j_word)
+    w = ctx.from_word(w_word)
+    dec = decompose(ctx, w, jset)
+    assert all(dec.up.perm[j - 1] > 0 for j in jset)  # up in W^J
+    assert set(dec.down.word()) <= jset  # down in W_J
+    assert ctx.multiply(dec.up, dec.down) is w
+    assert w.length == dec.up.length + dec.down.length
