@@ -12,6 +12,14 @@ lands in a zero group.  Degree dim + 1 always fails, so a sweep with no
 violation up to the dimension is capped there and lists the pairs of
 degree dim + 1.
 
+Comparisons use Deodhar's criterion, not the descent recursion: v <= u
+in W^J iff P_i(v) <= P_i(u) in the maximal quotient W^{S - {i}} for
+every marked node i.  Each v of a degree bucket costs one bitset AND per
+marked node against the cosets of the u-stratum, and the u of a
+violation are decoded only where a v fails.  Marked sets whose maximal
+quotient at some marked node exceeds MAX_COSETS are refused before
+anything is built.
+
 Closed forms: A_n(R) = n, B_n(R) = C_n(R) = 2n-1, D_n(R) = 2n-3 when R
 meets {1, n-1, n} and 2n-2 otherwise; complete flags of G2, F4, E6 give
 5, 12, 12.  Brute force cross-validates the closed forms and is the only
@@ -22,7 +30,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .bruhat import bruhat_leq, quotient_dimension, quotient_stratum
+# The sweep does not call bruhat_leq; egd.engine.bruhat_leq is the name
+# perfbench/trace_cmd.py wraps, so it stays importable here.
+from .bruhat import bruhat_leq  # noqa: F401
+from .bruhat import (
+    coset_masks,
+    coset_order,
+    quotient_cosets,
+    quotient_dimension,
+    quotient_stratum,
+)
 from .dynkin import DynkinSpec, is_proper_subdiagram, num_positive_roots, quotient_size
 from .errors import DegreeOutOfRange, EgdError, EmptyMarkedSet, Infeasible
 from .parabolic import (
@@ -38,6 +55,10 @@ DEFAULT_BUDGET = 10**6
 # Largest group built: A100 (5,050 positive roots) builds in about 0.3 s,
 # and `ed A100 1` runs in about 4 s at 235 MB peak RSS.
 MAX_POSITIVE_ROOTS = 5050
+# Largest maximal quotient W^{S - {i}} of a marked node i whose coset order
+# is built: its up-sets take |Q_i|^2 / 16 bytes.  E8 node 3 (69,120
+# cosets) is accepted; E8 nodes 4 (483,840) and 5 (241,920) are refused.
+MAX_COSETS = 100_000
 
 _context_cache: dict[DynkinSpec, WeylGroupContext] = {}
 
@@ -141,10 +162,26 @@ def closed_form_ed(md: MarkedDiagram) -> int | None:
     return None
 
 
+def _oversize_cosets(spec: DynkinSpec, jset: frozenset[int]) -> str | None:
+    """Why the sweep cannot build the coset order of some node outside J, if so."""
+    nodes = frozenset(spec.nodes)
+    for i in sorted(nodes - jset):
+        cosets = quotient_size(spec, nodes - {i})
+        if cosets > MAX_COSETS:
+            return (
+                f"node {i} of {spec} has {cosets} cosets, over the coset-order "
+                f"limit of {MAX_COSETS}"
+            )
+    return None
+
+
 def _infeasibility(spec: DynkinSpec, jset: frozenset[int], budget: int, extended: bool) -> str | None:
     size = quotient_size(spec, jset)
     if size > budget:
         return f"W^J of {spec} has {size} elements, over the budget of {budget}"
+    oversize = _oversize_cosets(spec, jset)
+    if oversize:
+        return oversize
     if spec.family == "E" and spec.rank == 6 and not jset and not extended:
         return "the E6 complete-flag sweep runs only with the extended flag"
     return None
@@ -160,6 +197,15 @@ def _parabolic_set(md: MarkedDiagram) -> frozenset[int]:
 # -- degree sweep ------------------------------------------------------------
 
 
+def _misses(row, masks, ups) -> list[int]:
+    """Per marked node, the cosets of a u-stratum not above v's coset.
+
+    ``row`` is v's coset row, ``masks`` the u-stratum's coset bitsets and
+    ``ups`` the up-set tables, one per marked node: one AND per node.
+    """
+    return [mask & ~up[c] for mask, up, c in zip(masks, ups, row)]
+
+
 def _sweep_degree(
     ctx: WeylGroupContext, jset: frozenset[int], s: int
 ) -> list[tuple[WeylElement, WeylElement]]:
@@ -168,15 +214,37 @@ def _sweep_degree(
     x -> w_0 x w_{0J} reverses the Bruhat order on W^J and swaps l(v) with
     c^J(u), so (v, u) violates iff (w_0 u w_{0J}, w_0 v w_{0J}) does: the
     half l(v) <= c^J(u) holds a violation of degree s whenever one exists,
-    for every J.  Pairs come in bucket order: l(v) ascending, then stratum
-    order of v and of u.
+    for every J.  By Deodhar's criterion v <= u iff P_i(v) <= P_i(u) for
+    every marked node i, so each v is decided by one AND per marked node
+    against the bitset of the u-stratum's cosets (_misses); the u of a
+    violated v are decoded from the missed cosets.  Pairs come in bucket
+    order: l(v) ascending, then stratum order of v and of u.
     """
     dim = quotient_dimension(ctx, jset)
+    ups = [coset_order(ctx, i).up for i in ctx.spec.nodes if i not in jset]
     out: list[tuple[WeylElement, WeylElement]] = []
     for len_v in range(max(1, s - dim), s // 2 + 1):
+        len_u = dim - (s - len_v)
         vs = quotient_stratum(ctx, jset, len_v)
-        us = quotient_stratum(ctx, jset, dim - (s - len_v))
-        out.extend((v, u) for v in vs for u in us if not bruhat_leq(ctx, v, u))
+        us = quotient_stratum(ctx, jset, len_u)
+        masks = coset_masks(ctx, jset, len_u)
+        holders = None  # per marked node: coset -> indices of the u in it
+        for v, row in zip(vs, quotient_cosets(ctx, jset, len_v)):
+            misses = _misses(row, masks, ups)
+            if not any(misses):
+                continue
+            if holders is None:
+                holders = [{} for _ in ups]
+                for k, u_row in enumerate(quotient_cosets(ctx, jset, len_u)):
+                    for held, c in zip(holders, u_row):
+                        held.setdefault(c, []).append(k)
+            hit = set()
+            for held, miss in zip(holders, misses):
+                while miss:
+                    low = miss & -miss
+                    hit.update(held[low.bit_length() - 1])
+                    miss ^= low
+            out.extend((v, us[k]) for k in sorted(hit))
     return out
 
 
@@ -186,12 +254,16 @@ def has_egd_up_to(ctx: WeylGroupContext, jset, s: int) -> bool:
     Only pairs with l(v) <= c^J(u) are compared: the two classes of a
     violating pair swap under x -> w_0 x w_{0J}, so that half of the pairs
     holds a violation whenever one exists, for every parabolic set J, flags
-    and proper quotients alike.
+    and proper quotients alike.  Raises Infeasible, before any coset order
+    is built, when a node outside J has more than MAX_COSETS cosets.
     """
     jset = frozenset(jset)
     dim = quotient_dimension(ctx, jset)
     if s < 0 or s > dim:
         raise DegreeOutOfRange(f"degree {s} outside 0..{dim}")
+    oversize = _oversize_cosets(ctx.spec, jset)
+    if oversize:
+        raise Infeasible(oversize)
     return not _sweep_degree(ctx, jset, s)
 
 

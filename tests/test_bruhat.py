@@ -25,7 +25,8 @@ from egd import (
     quotient_elements_of_length,
     subword_oracle,
 )
-from egd.dynkin import bonds
+from egd.bruhat import coset_order, quotient_cosets, quotient_stratum
+from egd.dynkin import bonds, quotient_size
 from egd.errors import ContextMismatch, LengthOutOfRange, NonReducedInput
 
 
@@ -154,37 +155,80 @@ def test_sweep_computes_each_left_product_once(monkeypatch):
 
     monkeypatch.setattr(egd.engine, "_context_cache", {})
     md = MarkedDiagram.parse("D5", "all")
-    get_context(md.spec)  # fresh context; its construction is not counted
+    ctx = get_context(md.spec)  # fresh context; its construction is not counted
     products = Counter()
-    pairs = Counter()
+    tests = Counter()  # (degree, coset row of v, marked node) -> up-set tests
+    sweeps = Counter()  # degree -> sweeps
     multiply = WeylGroupContext.multiply
-    leq = egd.engine.bruhat_leq
+    sweep, misses = egd.engine._sweep_degree, egd.engine._misses
+    degree = [None]
 
     def counting(self, x, y):
         if x.length == 1:  # x is a simple reflection: a left product s_i * y
             products[x, y] += 1
         return multiply(self, x, y)
 
-    def counting_leq(ctx, v, u):
-        pairs[v, u] += 1
-        return leq(ctx, v, u)
+    def counting_sweep(ctx, jset, s):
+        sweeps[s] += 1
+        degree[0] = s
+        return sweep(ctx, jset, s)
+
+    def counting_misses(row, masks, ups):
+        # a coset row determines its element of W^J (Deodhar's criterion)
+        for k in range(len(row)):
+            tests[degree[0], row, k] += 1
+        return misses(row, masks, ups)
 
     monkeypatch.setattr(WeylGroupContext, "multiply", counting)
-    # the engine's module global, the name the sweep (and a tracer) goes through
-    monkeypatch.setattr(egd.engine, "bruhat_leq", counting_leq)
+    # the engine's module globals, the names the sweep goes through
+    monkeypatch.setattr(egd.engine, "_sweep_degree", counting_sweep)
+    monkeypatch.setattr(egd.engine, "_misses", counting_misses)
     result = effective_divisibility(md, "brute_force")
     assert result.value == 7
     assert len(products) > 1000
     assert max(products.values()) == 1
-    # one pass: the failing degree is swept once, its pairs are the witness list
-    assert len(pairs) > 0
-    assert max(pairs.values()) == 1
+    # one pass: each degree 1..8 is swept once, the failing degree 8 included,
+    # and its pairs are the witness list
+    assert sweeps == Counter(range(1, 9))
+    assert max(tests.values()) == 1
+    # every v of every bucket is tested once against each of the 5 marked nodes
+    dim = quotient_dimension(ctx, frozenset())
+    for s in range(1, 9):
+        buckets = range(max(1, s - dim), s // 2 + 1)
+        size = sum(len(elements_of_length(ctx, l)) for l in buckets)
+        assert sum(n for (d, _, _), n in tests.items() if d == s) == 5 * size
 
-    pairs.clear()
+    tests.clear()
+    sweeps.clear()
     listing = egd.engine.md_pairs(md)
     assert listing and listing[0] == result.witness
-    assert len(pairs) > 0
-    assert max(pairs.values()) == 1
+    assert sweeps == Counter(range(1, 9))
+    assert len(tests) > 0
+    assert max(tests.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "diagram", ["A3", "A4", "A5", "B3", "B4", "C4", "D4", "D5", "F4", "G2", "E6"]
+)
+def test_coset_orders_match_recursion(diagram):
+    # second derivation of the sweep's comparisons: the up-set bitsets of
+    # every maximal quotient W^{S - {i}} against the descent recursion
+    spec = DynkinSpec.parse(diagram)
+    ctx = get_context(spec)
+    for i in spec.nodes:
+        jset = frozenset(spec.nodes) - {i}
+        order = coset_order(ctx, i)
+        elems, cosets = [], []
+        for l in range(quotient_dimension(ctx, jset) + 1):
+            elems += quotient_stratum(ctx, jset, l)
+            cosets += [c for (c,) in quotient_cosets(ctx, jset, l)]
+        assert order.size == len(elems) == quotient_size(spec, jset)
+        assert sorted(cosets) == list(range(order.size))
+        assert cosets[0] == order.size - 1  # the identity coset comes last
+        for v, a in zip(elems, cosets):
+            up = order.up[a]
+            for u, b in zip(elems, cosets):
+                assert bruhat_leq(ctx, v, u) == bool(up >> b & 1), (i, v, u)
 
 
 def test_subword_oracle_examples():

@@ -220,6 +220,41 @@ def test_huge_group_refused_before_build(capsys, monkeypatch, argv):
     assert built == {}
 
 
+@pytest.mark.parametrize(
+    "argv,node,cosets",
+    [
+        (("ed", "E8", "4"), 4, 483840),
+        (("ed", "E8", "5"), 5, 241920),
+        (("ed", "E8", "4", "--mode", "brute"), 4, 483840),
+        (("ed", "E8", "3,5", "--budget", "100000000"), 5, 241920),
+        (("mdpairs", "E8", "4"), 4, 483840),
+    ],
+)
+def test_oversize_coset_order_refused_before_build(capsys, monkeypatch, argv, node, cosets):
+    import egd.engine
+
+    def no_build(spec):
+        raise AssertionError(f"built {spec}")
+
+    built = {}
+    monkeypatch.setattr(egd.engine, "_context_cache", built)
+    monkeypatch.setattr(egd.engine, "build_group", no_build)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith(f"infeasible: node {node} of E8 has {cosets} cosets")
+    assert out == ""
+    assert built == {}
+
+
+def test_coset_limit_admits_e8_node_3_and_the_e7_flag():
+    from egd import DynkinSpec
+    from egd.engine import DEFAULT_BUDGET, _infeasibility
+
+    e7, e8 = DynkinSpec.parse("E7"), DynkinSpec.parse("E8")
+    assert _infeasibility(e8, frozenset(e8.nodes) - {3}, DEFAULT_BUDGET, False) is None
+    assert _infeasibility(e7, frozenset(), 3_000_000, False) is None
+
+
 def test_root_limit_admits_the_largest_benchmarked_groups():
     from egd import DynkinSpec
     from egd.dynkin import num_positive_roots

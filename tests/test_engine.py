@@ -1,6 +1,7 @@
 """Divisibility sweeps, md-pair listings, classification, morphism verdicts."""
 
 import itertools
+import os
 
 import pytest
 
@@ -29,6 +30,8 @@ from egd.errors import (
     Infeasible,
     NotTypeD,
 )
+
+EXTENDED = bool(os.environ.get("EGD_EXTENDED"))
 
 APPENDIX_D4 = [
     ((1, 2, 3), (4, 2, 3, 1, 2, 4, 1, 2, 1)),
@@ -89,6 +92,14 @@ def test_has_egd_up_to():
         has_egd_up_to(ctx, frozenset(), 13)
     with pytest.raises(DegreeOutOfRange):
         has_egd_up_to(ctx, frozenset(), -1)
+
+
+def test_has_egd_refuses_oversize_coset_order():
+    ctx = get_context(DynkinSpec("E", 8))
+    with pytest.raises(Infeasible, match="node 4 of E8 has 483840 cosets"):
+        has_egd_up_to(ctx, frozenset(ctx.spec.nodes) - {4}, 1)
+    assert 4 not in ctx._coset_orders
+    assert has_egd_up_to(ctx, frozenset(ctx.spec.nodes) - {1}, 1)
 
 
 def test_has_egd_monotone():
@@ -303,6 +314,59 @@ def test_halved_sweep_is_complete():
                     if full:
                         break
     assert checked == 116
+
+
+def _half_violations(ctx, jset, s):
+    """Reference for _sweep_degree: the same half of the pairs, in the same
+    bucket order, compared with the descent recursion."""
+    dim = quotient_dimension(ctx, jset)
+    return [
+        (v, u)
+        for len_v in range(max(1, s - dim), s // 2 + 1)
+        for v in quotient_stratum(ctx, jset, len_v)
+        for u in quotient_stratum(ctx, jset, dim - (s - len_v))
+        if not bruhat_leq(ctx, v, u)
+    ]
+
+
+def test_sweep_matches_recursion_at_every_degree():
+    # sweep vs a second Bruhat algorithm at every degree 1..dim + 1, not only
+    # up to the first failing one; EGD_EXTENDED=1 runs all 116 marked sets of
+    # test_halved_sweep_is_complete, tier-1 the ones with |W^J| <= 200
+    cap = 3000 if EXTENDED else 200
+    checked = violations = 0
+    for diagram in ("A4", "B3", "B4", "C4", "D4", "D5", "F4", "G2"):
+        spec = DynkinSpec.parse(diagram)
+        ctx = get_context(spec)
+        for k in range(1, spec.rank + 1):
+            for marked in itertools.combinations(spec.nodes, k):
+                jset = frozenset(spec.nodes) - frozenset(marked)
+                if quotient_size(spec, jset) > cap:
+                    continue
+                checked += 1
+                for s in range(1, quotient_dimension(ctx, jset) + 2):
+                    hits = _sweep_degree(ctx, jset, s)
+                    assert hits == _half_violations(ctx, jset, s), (diagram, marked, s)
+                    violations += len(hits)
+    assert checked == (116 if EXTENDED else 88)
+    assert violations > 0
+
+
+def test_every_marked_set_closed_form_vs_sweep():
+    # every nonempty marked set of the small types, the E6 flag included:
+    # "both" raises EgdError if the closed form and the sweep disagree
+    checked = 0
+    for diagram in ("A4", "A5", "B4", "B5", "C5", "D6", "F4", "G2", "E6"):
+        spec = DynkinSpec.parse(diagram)
+        for k in range(1, spec.rank + 1):
+            for marked in itertools.combinations(spec.nodes, k):
+                md = MarkedDiagram(spec, frozenset(marked))
+                res = effective_divisibility(md, "both", extended=True)
+                cf = closed_form_ed(md)
+                assert res.brute_force == res.value and res.closed_form == cf
+                assert res.method == ("brute_force" if cf is None else "both")
+                checked += 1
+    assert checked == 267
 
 
 def test_morphism_verdicts():
