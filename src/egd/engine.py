@@ -16,9 +16,10 @@ Comparisons use Deodhar's criterion, not the descent recursion: v <= u
 in W^J iff P_i(v) <= P_i(u) in the maximal quotient W^{S - {i}} for
 every marked node i.  Each v of a degree bucket costs one bitset AND per
 marked node against the cosets of the u-stratum, and the u of a
-violation are decoded only where a v fails.  Marked sets whose maximal
-quotient at some marked node exceeds MAX_COSETS are refused before
-anything is built.
+violation are decoded only where a v fails.  A marked node whose maximal
+quotient exceeds MAX_COSETS gets no coset order: such a marked set is
+compared pair by pair with bruhat_leq, and its full sweep is refused
+before anything is built when no closed form bounds where it stops.
 
 Closed forms: A_n(R) = n, B_n(R) = C_n(R) = 2n-1, D_n(R) = 2n-3 when R
 meets {1, n-1, n} and 2n-2 otherwise; complete flags of G2, F4, E6 give
@@ -29,11 +30,10 @@ route for the remaining exceptional quotients.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
-# The sweep does not call bruhat_leq; egd.engine.bruhat_leq is the name
-# perfbench/trace_cmd.py wraps, so it stays importable here.
-from .bruhat import bruhat_leq  # noqa: F401
 from .bruhat import (
+    bruhat_leq,
     coset_masks,
     coset_order,
     quotient_cosets,
@@ -57,7 +57,8 @@ DEFAULT_BUDGET = 10**6
 MAX_POSITIVE_ROOTS = 5050
 # Largest maximal quotient W^{S - {i}} of a marked node i whose coset order
 # is built: its up-sets take |Q_i|^2 / 16 bytes.  E8 node 3 (69,120
-# cosets) is accepted; E8 nodes 4 (483,840) and 5 (241,920) are refused.
+# cosets) gets one; a marked set with a larger quotient, such as A19(10)
+# (184,756) or B17(17) (131,072), is compared pair by pair instead.
 MAX_COSETS = 100_000
 
 _context_cache: dict[DynkinSpec, WeylGroupContext] = {}
@@ -162,8 +163,9 @@ def closed_form_ed(md: MarkedDiagram) -> int | None:
     return None
 
 
+@lru_cache(maxsize=None)
 def _oversize_cosets(spec: DynkinSpec, jset: frozenset[int]) -> str | None:
-    """Why the sweep cannot build the coset order of some node outside J, if so."""
+    """Why some node outside J gets no coset order, if one does."""
     nodes = frozenset(spec.nodes)
     for i in sorted(nodes - jset):
         cosets = quotient_size(spec, nodes - {i})
@@ -175,13 +177,22 @@ def _oversize_cosets(spec: DynkinSpec, jset: frozenset[int]) -> str | None:
     return None
 
 
-def _infeasibility(spec: DynkinSpec, jset: frozenset[int], budget: int, extended: bool) -> str | None:
+def _infeasibility(md: MarkedDiagram, budget: int, extended: bool) -> str | None:
+    """Why the full sweep of md is refused before anything is built, if it is.
+
+    A marked set with a node over MAX_COSETS is swept pair by pair, which
+    is cheap only when the sweep fails early.  A closed form says where it
+    fails; without one the sweep may run through the middle strata, and
+    E8(4) and E8(5) ran out of memory that way, so they are refused.
+    """
+    spec, jset = md.spec, md.parabolic_set
     size = quotient_size(spec, jset)
     if size > budget:
         return f"W^J of {spec} has {size} elements, over the budget of {budget}"
-    oversize = _oversize_cosets(spec, jset)
-    if oversize:
-        return oversize
+    if closed_form_ed(md) is None:
+        oversize = _oversize_cosets(spec, jset)
+        if oversize:
+            return oversize
     if spec.family == "E" and spec.rank == 6 and not jset and not extended:
         return "the E6 complete-flag sweep runs only with the extended flag"
     return None
@@ -217,10 +228,20 @@ def _sweep_degree(
     for every J.  By Deodhar's criterion v <= u iff P_i(v) <= P_i(u) for
     every marked node i, so each v is decided by one AND per marked node
     against the bitset of the u-stratum's cosets (_misses); the u of a
-    violated v are decoded from the missed cosets.  Pairs come in bucket
-    order: l(v) ascending, then stratum order of v and of u.
+    violated v are decoded from the missed cosets.  A marked set with a
+    node over MAX_COSETS is compared pair by pair with bruhat_leq instead.
+    Pairs come in bucket order: l(v) ascending, then stratum order of v
+    and of u.
     """
     dim = quotient_dimension(ctx, jset)
+    if _oversize_cosets(ctx.spec, jset):
+        return [
+            (v, u)
+            for len_v in range(max(1, s - dim), s // 2 + 1)
+            for v in quotient_stratum(ctx, jset, len_v)
+            for u in quotient_stratum(ctx, jset, dim - (s - len_v))
+            if not bruhat_leq(ctx, v, u)
+        ]
     ups = [coset_order(ctx, i).up for i in ctx.spec.nodes if i not in jset]
     out: list[tuple[WeylElement, WeylElement]] = []
     for len_v in range(max(1, s - dim), s // 2 + 1):
@@ -254,16 +275,12 @@ def has_egd_up_to(ctx: WeylGroupContext, jset, s: int) -> bool:
     Only pairs with l(v) <= c^J(u) are compared: the two classes of a
     violating pair swap under x -> w_0 x w_{0J}, so that half of the pairs
     holds a violation whenever one exists, for every parabolic set J, flags
-    and proper quotients alike.  Raises Infeasible, before any coset order
-    is built, when a node outside J has more than MAX_COSETS cosets.
+    and proper quotients alike.
     """
     jset = frozenset(jset)
     dim = quotient_dimension(ctx, jset)
     if s < 0 or s > dim:
         raise DegreeOutOfRange(f"degree {s} outside 0..{dim}")
-    oversize = _oversize_cosets(ctx.spec, jset)
-    if oversize:
-        raise Infeasible(oversize)
     return not _sweep_degree(ctx, jset, s)
 
 
@@ -311,7 +328,7 @@ def effective_divisibility(
         raise EgdError(f"unknown mode {mode!r}")
     jset = _parabolic_set(md)
     cf = closed_form_ed(md)
-    blocked = _infeasibility(md.spec, jset, budget, extended)
+    blocked = _infeasibility(md, budget, extended)
 
     if mode == "closed_form":
         if cf is None:
@@ -356,7 +373,7 @@ def md_pairs(
     are the ones the degree sweep found at its failing degree ed + 1.
     """
     jset = _parabolic_set(md)
-    blocked = _infeasibility(md.spec, jset, budget, extended)
+    blocked = _infeasibility(md, budget, extended)
     if blocked:
         raise Infeasible(blocked)
     ctx = get_context(md.spec)

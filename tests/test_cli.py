@@ -227,6 +227,7 @@ def test_huge_group_refused_before_build(capsys, monkeypatch, argv):
         (("ed", "E8", "5"), 5, 241920),
         (("ed", "E8", "4", "--mode", "brute"), 4, 483840),
         (("ed", "E8", "3,5", "--budget", "100000000"), 5, 241920),
+        (("ed", "E8", "5,6"), 5, 241920),
         (("mdpairs", "E8", "4"), 4, 483840),
     ],
 )
@@ -246,13 +247,47 @@ def test_oversize_coset_order_refused_before_build(capsys, monkeypatch, argv, no
     assert built == {}
 
 
-def test_coset_limit_admits_e8_node_3_and_the_e7_flag():
-    from egd import DynkinSpec
-    from egd.engine import DEFAULT_BUDGET, _infeasibility
+def test_coset_limit_refuses_only_sweeps_without_closed_form():
+    from egd import MarkedDiagram
+    from egd.engine import DEFAULT_BUDGET, MAX_COSETS, _infeasibility, _oversize_cosets
 
-    e7, e8 = DynkinSpec.parse("E7"), DynkinSpec.parse("E8")
-    assert _infeasibility(e8, frozenset(e8.nodes) - {3}, DEFAULT_BUDGET, False) is None
-    assert _infeasibility(e7, frozenset(), 3_000_000, False) is None
+    admitted = [
+        ("E8", "3", DEFAULT_BUDGET),
+        ("E7", "all", 3_000_000),
+        # a node over the limit, but a closed form: swept pair by pair
+        ("A19", "10", DEFAULT_BUDGET),
+        ("B17", "17", DEFAULT_BUDGET),
+        ("D18", "18", DEFAULT_BUDGET),
+        ("A50", "4", DEFAULT_BUDGET),
+        ("B30", "4", DEFAULT_BUDGET),
+        ("D30", "4", DEFAULT_BUDGET),
+    ]
+    for diagram, marked, budget in admitted:
+        md = MarkedDiagram.parse(diagram, marked)
+        assert _infeasibility(md, budget, False) is None, (diagram, marked)
+    for diagram, marked in [("A19", "10"), ("B17", "17"), ("D18", "18"), ("A50", "4")]:
+        md = MarkedDiagram.parse(diagram, marked)
+        assert _oversize_cosets(md.spec, md.parabolic_set), (diagram, marked)
+    assert MAX_COSETS < 131072
+
+
+def test_oversize_classical_quotient_swept_pair_by_pair(capsys):
+    # node 10 of A19 has C(20, 10) = 184,756 cosets: no coset order is
+    # built, and brute force still runs and agrees with the closed form
+    from egd import DynkinSpec, get_context
+
+    code, out, _ = run(capsys, "ed", "A19", "10")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:5] == [
+        "ed A19(10) mode=both",
+        "ed = 19",
+        "method = both",
+        "closed_form = 19",
+        "brute_force = 19",
+    ]
+    assert lines[5].startswith("witness: l(v)= 10 c(u)= 10 v=[1,2,3,4,5,6,7,8,9,10] u=[11,10,")
+    assert get_context(DynkinSpec.parse("A19"))._coset_orders == {}
 
 
 def test_root_limit_admits_the_largest_benchmarked_groups():

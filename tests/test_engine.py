@@ -30,6 +30,7 @@ from egd.errors import (
     Infeasible,
     NotTypeD,
 )
+from egd.weyl import build_group
 
 EXTENDED = bool(os.environ.get("EGD_EXTENDED"))
 
@@ -94,12 +95,44 @@ def test_has_egd_up_to():
         has_egd_up_to(ctx, frozenset(), -1)
 
 
-def test_has_egd_refuses_oversize_coset_order():
+def test_has_egd_compares_oversize_quotient_pair_by_pair():
+    # node 4 of E8 has 483,840 cosets: one degree is still answered, by
+    # bruhat_leq, without building its coset order
     ctx = get_context(DynkinSpec("E", 8))
-    with pytest.raises(Infeasible, match="node 4 of E8 has 483840 cosets"):
-        has_egd_up_to(ctx, frozenset(ctx.spec.nodes) - {4}, 1)
+    assert has_egd_up_to(ctx, frozenset(ctx.spec.nodes) - {4}, 2)
     assert 4 not in ctx._coset_orders
     assert has_egd_up_to(ctx, frozenset(ctx.spec.nodes) - {1}, 1)
+    assert 1 in ctx._coset_orders
+
+
+def test_pair_by_pair_sweep_matches_coset_orders(monkeypatch):
+    # both sides of the MAX_COSETS selection on the same inputs: a limit of
+    # 0 sends every marked set to the pair-by-pair path of a fresh context
+    import egd.engine
+
+    cases = [("D4", ()), ("D4", (2,)), ("B3", (1,)), ("G2", ()), ("A3", (1, 3))]
+    expected = {}
+    for diagram, jset in cases:
+        ctx = get_context(DynkinSpec.parse(diagram))
+        jset = frozenset(jset)
+        expected[diagram, jset] = [
+            [(v.word(), u.word()) for v, u in _sweep_degree(ctx, jset, s)]
+            for s in range(1, quotient_dimension(ctx, jset) + 2)
+        ]
+    monkeypatch.setattr(egd.engine, "MAX_COSETS", 0)
+    egd.engine._oversize_cosets.cache_clear()
+    try:
+        for diagram, jset in cases:
+            ctx = build_group(DynkinSpec.parse(diagram))
+            jset = frozenset(jset)
+            got = [
+                [(v.word(), u.word()) for v, u in _sweep_degree(ctx, jset, s)]
+                for s in range(1, quotient_dimension(ctx, jset) + 2)
+            ]
+            assert got == expected[diagram, jset], (diagram, jset)
+            assert ctx._coset_orders == {}
+    finally:
+        egd.engine._oversize_cosets.cache_clear()
 
 
 def test_has_egd_monotone():
