@@ -9,30 +9,30 @@ computed once per element however many comparisons pass through it.  It
 is the library comparison; the degree sweep uses the coset orders below,
 and an exhaustive subword scan is kept as an independent test oracle.
 
-Strata of W^J (minimal coset representatives, no right descent in J) live
-in one store per J on the context: a list indexed by length 0..dim, each
-entry filled on first use.  W^J is graded with every length 0..dim
-occupied.  Strata up to dim/2 are grown level by level: the successors of
-w in W^J are the products s_i * w (read from the same left-product cache)
-that land in W^J with length l(w) + 1.  Higher strata are the images of
-lower ones under the length-reversing bijection x -> w_0 * x * w_{0J}.
+Strata of W^J (minimal coset representatives) live in one store per J on
+the context, by length 0..dim.  x -> x(lambda_R), lambda_R the sum of the
+fundamental weights omega_i of the nodes i outside J, maps W^J onto the
+orbit W lambda_R: its stabiliser is W_J (Humphreys, Reflection Groups and
+Coxeter Groups, 1.12).  Strata up to dim/2 grow breadth first on these
+rank-wide weights: for mu = x(lambda_R), s_j x is in W^J one level up iff
+mu_j > 0, and in x W_J iff mu_j = 0; s_j is a left descent iff mu_j < 0.
+Stratum l > dim/2 is the image of stratum dim - l under the length-reversing
+x -> w_0 x w_{0J}, of weight w_0 mu = -sigma(mu).  Root permutations are
+built only for the elements asked for, from words peeled off the weights.
 
 Coset orders decide the sweep's comparisons by Deodhar's criterion
 (Bjorner-Brenti, GTM 231, section 2.6): for v, u in W^J, v <= u iff
 P_i(v) <= P_i(u) in the maximal quotient Q_i = W^{S - {i}} for every node
 i outside J.
-- Q_i is the W-orbit of the fundamental weight omega_i, with
-  s_j(mu) = mu - mu_j * alpha_j in fundamental-weight coordinates.  A
-  breadth-first search from the lowest weight w_0 omega_i numbers the
-  cosets from the top (0) down to the identity coset (|Q_i| - 1).
+- Q_i is the W-orbit of omega_i.  A breadth-first search from the lowest
+  weight w_0 omega_i numbers the cosets from the top (0) down to the
+  identity coset (|Q_i| - 1).
 - Lower covers come from the lifting property: for a left descent s of
   b, they are s*b and s*c for each lower cover c of s*b with s*c > c.
 - Up-sets are int bitsets, OR-ed top down; no bit of the up-set of coset
   a lies above a.
-- Coset rows (P_i(x) for the nodes i outside J) ride on the strata store
-  and need no products.  A grown element takes act_i[s] of its parent's
-  coset, the parent found through its cached left products.  A dual
-  element w_0 x w_{0J} takes the antipode w_0 mu = -sigma(mu) of x's coset.
+- Coset rows (P_i(x), i outside J) ride on the strata store: a grown
+  weight takes act_j of its parent's row, w_0 x w_{0J} the antipode of x's.
 Coset orders are built only when a sweep asks for coset rows.
 """
 
@@ -112,109 +112,130 @@ def subword_oracle(ctx: WeylGroupContext, v_word, u_word) -> bool:
     return scan(0, ctx.identity, 0)
 
 
-def _is_min_rep(elem: WeylElement, jset: frozenset[int]) -> bool:
-    perm = elem.perm
-    return all(perm[j - 1] > 0 for j in jset)
-
-
 def quotient_dimension(ctx: WeylGroupContext, jset) -> int:
     """l(w_0^J), the dimension of the corresponding homogeneous variety."""
     w0j = ctx.longest_in_parabolic(frozenset(jset))
     return ctx.longest_element.length - w0j.length
 
 
-class _Strata:
-    """One W^J's strata by length 0..dim, each filled on first use.
+def _weight_maps(ctx: WeylGroupContext):
+    """s_j(mu) = mu - mu_j * alpha_j and w_0(mu) = -sigma(mu) on weights mu.
 
-    ``preimage[l]`` of a dual level lists, per element, the index of its
-    preimage in level dim - l; ``rows`` and ``masks`` are the coset rows
-    and the per-node coset bitsets of a level (see quotient_cosets).
+    Weights are in fundamental-weight coordinates, alpha_j is row j of the
+    Cartan matrix, and w_0 alpha_k = -alpha_sigma(k)."""
+    alphas = [[(k, a) for k, a in enumerate(row) if a] for row in ctx.cartan]
+    sigma = [-ctx.longest_element.perm[k] - 1 for k in range(ctx.rank)]
+
+    def reflect(mu, j):
+        nu, p = list(mu), mu[j]
+        for k, a in alphas[j]:
+            nu[k] -= p * a
+        return tuple(nu)
+
+    return reflect, lambda mu: tuple([-mu[k] for k in sigma])
+
+
+class _Strata:
+    """One W^J by length 0..dim, grown on the weights x(lambda_R).
+
+    ``weights[l]`` (l <= dim/2) lists stratum l's weights in stratum order;
+    weight k is s_j of weight b of stratum l - 1 for ``parents[l][k] = (b, j)``.
+    Element k of stratum l > dim/2 is w_0 x w_{0J}, x element k of stratum
+    dim - l.  ``levels``, ``rows`` and ``masks`` (elements, coset rows and
+    per-node coset bitsets of a stratum) are filled on first use.
     """
 
-    __slots__ = ("levels", "preimage", "rows", "masks")
+    __slots__ = ("dim", "reflect", "antipode", "weights", "parents", "levels", "rows", "masks")
 
-    def __init__(self, ctx: WeylGroupContext, dim: int):
-        self.levels: list[list[WeylElement] | None] = [[ctx.identity]] + [None] * dim
-        self.preimage: list[list[int] | None] = [None] * (dim + 1)
-        self.rows: list[list[tuple[int, ...]] | None] = [None] * (dim + 1)
-        self.masks: list[list[int] | None] = [None] * (dim + 1)
+    def __init__(self, ctx: WeylGroupContext, jset: frozenset[int], dim: int):
+        self.dim = dim
+        self.reflect, self.antipode = _weight_maps(ctx)
+        self.weights = [[tuple(int(i not in jset) for i in ctx.spec.nodes)]] + [None] * dim
+        self.parents = [None] * (dim + 1)
+        self.levels, self.rows, self.masks = ([None] * (dim + 1) for _ in range(3))
+
+    def grow(self, l: int) -> None:
+        """Grow strata up to min(l, dim - l): mu has the children s_j(mu), mu_j > 0."""
+        weights, reflect = self.weights, self.reflect
+        for depth in range(1, min(l, self.dim - l) + 1):
+            if weights[depth] is None:  # set parents first: readers test weights
+                children: dict = {}
+                for b, mu in enumerate(weights[depth - 1]):
+                    for j, p in enumerate(mu):
+                        if p > 0:
+                            children.setdefault(reflect(mu, j), (b, j))
+                self.parents[depth] = list(children.values())
+                weights[depth] = list(children)
+
+    def element(self, ctx: WeylGroupContext, l: int, k: int) -> WeylElement:
+        """Element k of stratum l, built from the canonical word of its weight."""
+        if self.levels[l] is not None:
+            return self.levels[l][k]
+        dual = 2 * l > self.dim
+        mu = self.weights[self.dim - l if dual else l][k]
+        mu = self.antipode(mu) if dual else mu
+        word, j = [], 0
+        while j < len(mu):  # peel the smallest left descent s_j: the first mu_j < 0
+            if mu[j] < 0:
+                word.append(j + 1)
+                mu, j = self.reflect(mu, j), -1
+            j += 1
+        x = ctx.from_word(word)
+        x._word = tuple(word)
+        return x
+
+
+def _grown(ctx: WeylGroupContext, jset: frozenset[int], l: int) -> _Strata:
+    """The strata store of W^J, grown for stratum l."""
+    store = ctx._strata.get(jset)
+    if store is None:
+        store = ctx._strata[jset] = _Strata(ctx, jset, quotient_dimension(ctx, jset))
+    if not 0 <= l <= store.dim:
+        raise LengthOutOfRange(f"no stratum of length {l}; W^J has lengths 0..{store.dim}")
+    store.grow(l)
+    return store
 
 
 def quotient_stratum(ctx: WeylGroupContext, jset, l: int) -> list[WeylElement]:
-    """Elements of W^J of length exactly l, in the internal deterministic order.
+    """Elements of W^J of length exactly l, in the internal deterministic order."""
+    store = _grown(ctx, frozenset(jset), l)
+    if store.levels[l] is None:
+        size = len(store.weights[min(l, store.dim - l)])
+        store.levels[l] = [store.element(ctx, l, k) for k in range(size)]
+    return store.levels[l]
 
-    Every length 0..dim is occupied, so each J has one store of dim + 1
-    strata.  Lengths up to dim/2 are grown level by level from the identity;
-    a longer stratum is the image of stratum dim - l under
-    x -> w_0 x w_{0J}, which reverses lengths along W^J.
-    """
-    jset = frozenset(jset)
-    store = ctx._strata.get(jset)
-    if store is not None and 0 <= l < len(store.levels) and store.levels[l] is not None:
-        return store.levels[l]
-    dim = quotient_dimension(ctx, jset)
-    if l < 0 or l > dim:
-        raise LengthOutOfRange(f"no stratum of length {l}; W^J has lengths 0..{dim}")
-    if store is None:
-        store = ctx._strata[jset] = _Strata(ctx, dim)
-    levels = store.levels
-    left = ctx.left_multiply
-    gens = range(1, ctx.rank + 1)
-    for depth in range(1, min(l, dim - l) + 1):
-        if levels[depth] is None:
-            grown = {left(i, w) for w in levels[depth - 1] for i in gens}
-            levels[depth] = sorted(
-                (x for x in grown if x.length == depth and _is_min_rep(x, jset)),
-                key=lambda e: e.perm,
-            )
-    if levels[l] is None:
-        w0, w0j = ctx.longest_element, ctx.longest_in_parabolic(jset)
-        images = [ctx.multiply(ctx.multiply(w0, x), w0j) for x in levels[dim - l]]
-        order = sorted(range(len(images)), key=lambda k: images[k].perm)
-        levels[l] = [images[k] for k in order]
-        store.preimage[l] = order
-    return levels[l]
+
+def stratum_element(ctx: WeylGroupContext, jset, l: int, k: int) -> WeylElement:
+    """Element k of quotient_stratum(ctx, jset, l), built alone."""
+    return _grown(ctx, frozenset(jset), l).element(ctx, l, k)
 
 
 class CosetOrder:
     """The Bruhat order on the cosets Q_i = W^{S - {i}} of one node i.
 
     Cosets are ids 0..size-1, the top coset first and the identity coset
-    last, lengths non-increasing.  ``act[j - 1][c]`` is the coset of
-    s_j * c (c itself when s_j fixes it), ``antipode[c]`` the coset of
-    w_0 * c, and bit b of ``up[c]`` is set iff coset b >= c.
-    """
+    last, lengths non-increasing.  ``act[j - 1][c]`` is the coset of s_j * c
+    (c when s_j fixes it), ``antipode[c]`` the coset of w_0 * c, and bit b
+    of ``up[c]`` is set iff coset b >= c."""
 
     __slots__ = ("size", "act", "antipode", "up")
 
     def __init__(self, ctx: WeylGroupContext, node: int):
         n = ctx.rank
-        # w_0 alpha_k = -alpha_sigma(k), so w_0 omega_k = -omega_sigma(k);
-        # sigma is an involution
-        sigma = [-ctx.longest_element.perm[k] - 1 for k in range(n)]
-        alphas = [[(k, a) for k, a in enumerate(row) if a] for row in ctx.cartan]
-        lowest = [0] * n
-        lowest[sigma[node - 1]] = -1
-        weights = [tuple(lowest)]
+        reflect, antipode = _weight_maps(ctx)
+        weights = [antipode(tuple(int(k == node - 1) for k in range(n)))]
         index = {weights[0]: 0}
         act = [[] for _ in range(n)]
         for b, mu in enumerate(weights):  # grows while read: breadth first, downwards
             for j in range(n):
-                p = mu[j]
-                c = b
-                if p:
-                    nu = list(mu)
-                    for k, a in alphas[j]:
-                        nu[k] -= p * a
-                    nu = tuple(nu)
-                    c = index.get(nu)
-                    if c is None:
-                        c = index[nu] = len(weights)
-                        weights.append(nu)
+                nu = reflect(mu, j) if mu[j] else mu
+                c = index.setdefault(nu, len(weights))
+                if c == len(weights):
+                    weights.append(nu)
                 act[j].append(c)
         self.size = size = len(weights)
         self.act = act
-        self.antipode = [index[tuple([-mu[k] for k in sigma])] for mu in weights]
+        self.antipode = [index[antipode(mu)] for mu in weights]
         # lower covers, shortest cosets first: for a left descent s_j of b
         # (mu_j < 0), covers(b) = {s_j b} + {s_j c : c in covers(s_j b), s_j c > c}
         covers: list[list[int]] = [[] for _ in range(size)]
@@ -250,36 +271,22 @@ def quotient_cosets(ctx: WeylGroupContext, jset, l: int) -> list[tuple[int, ...]
     determines the element.
     """
     jset = frozenset(jset)
-    quotient_stratum(ctx, jset, l)
-    store = ctx._strata[jset]
-    rows = store.rows
-    if rows[l] is not None:
-        return rows[l]
-    orders = [coset_order(ctx, i) for i in ctx.spec.nodes if i not in jset]
-    dim = len(rows) - 1
-    if 2 * l > dim:
-        source = quotient_cosets(ctx, jset, dim - l)
-        rows[l] = [
-            tuple([o.antipode[a] for o, a in zip(orders, source[k])])
-            for k in store.preimage[l]
-        ]
-        return rows[l]
-    if rows[0] is None:
-        rows[0] = [tuple(o.size - 1 for o in orders)]
-    acts = [[o.act[j] for o in orders] for j in range(ctx.rank)]
-    for depth in range(1, l + 1):
-        if rows[depth] is not None:
-            continue
-        level = store.levels[depth]
-        position = {x.id: k for k, x in enumerate(level)}
-        grown: list = [None] * len(level)
-        for w, row in zip(store.levels[depth - 1], rows[depth - 1]):
-            # w._left holds every s_i * w: the growth of this level computed them
-            for y, act in zip(w._left, acts):
-                k = position.get(y.id)
-                if k is not None and grown[k] is None:
-                    grown[k] = tuple([a[c] for a, c in zip(act, row)])
-        rows[depth] = grown
+    store = _grown(ctx, jset, l)
+    rows, dim = store.rows, store.dim
+    if rows[l] is None:
+        orders = [coset_order(ctx, i) for i in ctx.spec.nodes if i not in jset]
+        if 2 * l > dim:
+            dual = quotient_cosets(ctx, jset, dim - l)
+            rows[l] = [tuple([o.antipode[a] for o, a in zip(orders, row)]) for row in dual]
+        else:
+            acts = [[o.act[j] for o in orders] for j in range(ctx.rank)]
+            rows[0] = rows[0] or [tuple(o.size - 1 for o in orders)]
+            for depth in range(1, l + 1):  # a grown weight takes act_j of its parent's row
+                above = rows[depth - 1]
+                rows[depth] = rows[depth] or [
+                    tuple([a[c] for a, c in zip(acts[j], above[b])])
+                    for b, j in store.parents[depth]
+                ]
     return rows[l]
 
 
@@ -289,21 +296,14 @@ def coset_masks(ctx: WeylGroupContext, jset, l: int) -> list[int]:
     rows = quotient_cosets(ctx, jset, l)
     masks = ctx._strata[jset].masks
     if masks[l] is None:
-        masks[l] = []
-        for column in zip(*rows):
-            mask = 0
-            for c in set(column):
-                mask |= 1 << c
-            masks[l].append(mask)
+        masks[l] = [sum(1 << c for c in set(column)) for column in zip(*rows)]
     return masks[l]
 
 
 def elements_of_length(ctx: WeylGroupContext, l: int) -> list[WeylElement]:
     """All elements of length exactly l, sorted by canonical word."""
     if l < 0 or l > ctx.longest_element.length:
-        raise LengthOutOfRange(
-            f"length {l} outside 0..{ctx.longest_element.length}"
-        )
+        raise LengthOutOfRange(f"length {l} outside 0..{ctx.longest_element.length}")
     return sorted(quotient_stratum(ctx, frozenset(), l), key=lambda e: e.word())
 
 

@@ -12,8 +12,8 @@ order of first construction within its context), so hot loops can key
 memos by ints instead of element pairs.  Left products s_i * w by simple
 generators are cached on w itself, one entry per generator, allocated on
 first use and filled one entry at a time: walks that step along s_i * w
-(the Bruhat descent recursion, the strata BFS, canonical words) compute
-each such product at most once per element.
+(the Bruhat descent recursion, canonical words) compute each such product
+at most once per element.
 
 Roots live in the simple-root basis; the reflection in alpha_j maps a root
 with coordinates c to c', where c'_j = c_j - sum_i c_i * cartan[i][j] and
@@ -23,9 +23,9 @@ alpha_j, which it negates).  Each root carries its pairings with all
 generators, so only the few reflections that move it are applied, and the
 pass records the pairs of roots each s_j exchanges.  Right multiplication
 by s_j is then those swaps plus a sign flip at alpha_j, done in place on a
-plain list: that builds the generators and the longest parabolic elements
-w_{0J}, and only the results are interned, so a fresh context holds the
-identity, the generators and w_0.
+plain list: that builds the generators, the longest parabolic elements
+w_{0J} and the value of any word, and only the results are interned, so a
+fresh context holds the identity, the generators and w_0.
 
 A product x * y is a table lookup: with table = [0, x(1), ..., x(N),
 -x(N), ..., -x(1)], the image of root k under x * y is table[y(k)], a
@@ -250,13 +250,20 @@ class WeylGroupContext:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
     def from_word(self, word) -> WeylElement:
-        """Evaluate a word (any sequence of generator indices, not necessarily reduced)."""
-        out = self.identity
+        """Evaluate a word (any sequence of generator indices, not necessarily reduced).
+
+        Every letter is checked first; the word is then composed in place on
+        a plain list, as in longest_in_parabolic, so only the result is
+        interned.
+        """
+        word = tuple(word)
         for letter in word:
             if not 1 <= letter <= self.rank:
                 raise BadLetter(f"letter {letter} outside 1..{self.rank}")
-            out = self.multiply(out, self.simple_reflections[letter - 1])
-        return out
+        perm = list(self.identity.perm)
+        for letter in word:
+            self._times_generator(perm, letter)
+        return self._make(tuple(perm))
 
     def canonical_word(self, x: WeylElement) -> Word:
         """Lexicographically smallest reduced word, by peeling smallest left descents."""

@@ -1,11 +1,12 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines and the
-measured wall times.  The E6 complete-flag sweep is an extended run,
-enabled by setting EGD_EXTENDED=1.
+measured wall times.  The E6 and E7 complete-flag sweeps are extended
+runs, enabled by setting EGD_EXTENDED=1.
 """
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -296,6 +297,22 @@ def _cli_bytes(*argv):
         check=True,
     )
     return proc.stdout
+
+
+@pytest.mark.skipif(
+    not os.environ.get("EGD_EXTENDED"),
+    reason="extended E7 flag sweep; set EGD_EXTENDED=1 to run",
+)
+def test_e7_flag_regression_extended():
+    # self-generated regression data, not a published value: the coset-order
+    # sweep of the E7 flag (about 3 s) fails first at degree 20, with one
+    # md pair in the half l(v) <= c^J(u)
+    out = json.loads(
+        _cli_bytes("ed", "E7", "all", "--mode", "brute", "--budget", "3000000", "--json")
+    )
+    assert out["ed"] == 19
+    assert {p["len_v"] + p["codim_u"] for p in out["mdpairs"]} == {20}
+    assert len(out["mdpairs"]) == 1
 
 
 def test_criterion_8_worker_determinism():

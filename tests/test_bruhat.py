@@ -1,6 +1,7 @@
 """Bruhat order: descent recursion vs subword scan, strata, quotients."""
 
 import itertools
+import os
 import random
 from collections import Counter
 
@@ -28,6 +29,8 @@ from egd import (
 from egd.bruhat import coset_order, quotient_cosets, quotient_stratum
 from egd.dynkin import bonds, quotient_size
 from egd.errors import ContextMismatch, LengthOutOfRange, NonReducedInput
+
+EXTENDED = bool(os.environ.get("EGD_EXTENDED"))
 
 
 def all_elements(ctx):
@@ -156,17 +159,20 @@ def test_sweep_computes_each_left_product_once(monkeypatch):
     monkeypatch.setattr(egd.engine, "_context_cache", {})
     md = MarkedDiagram.parse("D5", "all")
     ctx = get_context(md.spec)  # fresh context; its construction is not counted
-    products = Counter()
+    calls = Counter()  # "multiply" -> products, "from_word" -> elements built
     tests = Counter()  # (degree, coset row of v, marked node) -> up-set tests
     sweeps = Counter()  # degree -> sweeps
-    multiply = WeylGroupContext.multiply
+    multiply, from_word = WeylGroupContext.multiply, WeylGroupContext.from_word
     sweep, misses = egd.engine._sweep_degree, egd.engine._misses
     degree = [None]
 
-    def counting(self, x, y):
-        if x.length == 1:  # x is a simple reflection: a left product s_i * y
-            products[x, y] += 1
+    def counting_multiply(self, x, y):
+        calls["multiply"] += 1
         return multiply(self, x, y)
+
+    def counting_from_word(self, word):
+        calls["from_word"] += 1
+        return from_word(self, word)
 
     def counting_sweep(ctx, jset, s):
         sweeps[s] += 1
@@ -179,14 +185,17 @@ def test_sweep_computes_each_left_product_once(monkeypatch):
             tests[degree[0], row, k] += 1
         return misses(row, masks, ups)
 
-    monkeypatch.setattr(WeylGroupContext, "multiply", counting)
+    monkeypatch.setattr(WeylGroupContext, "multiply", counting_multiply)
+    monkeypatch.setattr(WeylGroupContext, "from_word", counting_from_word)
     # the engine's module globals, the names the sweep goes through
     monkeypatch.setattr(egd.engine, "_sweep_degree", counting_sweep)
     monkeypatch.setattr(egd.engine, "_misses", counting_misses)
     result = effective_divisibility(md, "brute_force")
     assert result.value == 7
-    assert len(products) > 1000
-    assert max(products.values()) == 1
+    # strata grow on weights and pairs are decided on coset rows: no product
+    # is taken, and only the v and u of violating pairs are built
+    ed_calls = calls.copy()
+    assert ed_calls["multiply"] == 0
     # one pass: each degree 1..8 is swept once, the failing degree 8 included,
     # and its pairs are the witness list
     assert sweeps == Counter(range(1, 9))
@@ -198,10 +207,13 @@ def test_sweep_computes_each_left_product_once(monkeypatch):
         size = sum(len(elements_of_length(ctx, l)) for l in buckets)
         assert sum(n for (d, _, _), n in tests.items() if d == s) == 5 * size
 
+    calls.clear()
     tests.clear()
     sweeps.clear()
     listing = egd.engine.md_pairs(md)
     assert listing and listing[0] == result.witness
+    assert calls["multiply"] == 0
+    assert 0 < ed_calls["from_word"] <= 2 * len(listing)
     assert sweeps == Counter(range(1, 9))
     assert len(tests) > 0
     assert max(tests.values()) == 1
@@ -387,3 +399,32 @@ def test_quotient_strata_match_poincare_polynomial(diagram):
                 for l in range(quotient_dimension(ctx, jset) + 1)
             ]
             assert sizes == expected, sorted(jset)
+
+
+@pytest.mark.parametrize(
+    "diagram,sets",
+    [("A4", 16), ("B4", 16), ("C4", 16), ("D5", 32), ("F4", 16), ("G2", 4),
+     ("E6", 64 if EXTENDED else 27)],
+)
+def test_orbit_strata_rederived_from_perms(diagram, sets):
+    # second derivation of the weight-orbit strata: each element is built
+    # from a word read off its weight, so recompute the canonical word, the
+    # length and the right descents from the root permutation instead.
+    # Tier-1 skips the E6 quotients over 2,200 elements (about 20 s in all);
+    # EGD_EXTENDED=1 runs every J
+    spec = DynkinSpec.parse(diagram)
+    ctx = build_group(spec)  # fresh: every element is built by the strata
+    checked = 0
+    for k in range(spec.rank + 1):
+        for jset in map(frozenset, itertools.combinations(spec.nodes, k)):
+            if not EXTENDED and quotient_size(spec, jset) > 2200:
+                continue
+            checked += 1
+            for l in range(quotient_dimension(ctx, jset) + 1):
+                stratum = quotient_stratum(ctx, jset, l)
+                assert len(set(stratum)) == len(stratum), (sorted(jset), l)
+                for x in stratum:
+                    assert x.word() == ctx.canonical_word(x), (sorted(jset), l)
+                    assert x.length == l
+                    assert not ctx.descents(x) & jset
+    assert checked == sets

@@ -309,6 +309,22 @@ def test_corollary_monotonicity_d4():
                 assert e1 <= e2
 
 
+def test_a50_sweep_interns_only_the_listed_pairs(monkeypatch):
+    # the strata of W^J grow on weights and only the v and u of violating
+    # pairs are built: a fresh context interns the identity, the generators,
+    # w_0 and w_{0J}, then at most two elements per listed pair
+    import egd.engine
+
+    monkeypatch.setattr(egd.engine, "_context_cache", {})
+    md = MarkedDiagram.parse("A50", "1")
+    assert effective_divisibility(md).value == 50
+    ctx = get_context(md.spec)
+    interned = len(ctx._intern)
+    listing = md_pairs(md)
+    assert len(listing) == 25
+    assert interned <= ctx.rank + 3 + 2 * len(listing)
+
+
 def _full_violations(ctx, jset, s):
     """Unhalved reference scan: every ordered pair (v, u) at degree s with v not<= u."""
     dim = quotient_dimension(ctx, jset)

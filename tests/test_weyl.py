@@ -187,6 +187,25 @@ def test_from_word():
     assert ctx.from_word([1, 2, 4, 3, 2, 1]).length == 6
     with pytest.raises(BadLetter):
         ctx.from_word([5])
+    # every letter is checked before anything is composed or interned
+    fresh = build_group(DynkinSpec("D", 4))
+    with pytest.raises(BadLetter):
+        fresh.from_word([1, 2, 4, 3, 2, 1, 5])
+    assert len(fresh._intern) == fresh.rank + 2
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(spec_and_words())
+def test_from_word_matches_left_fold_of_multiply(case):
+    # from_word composes in place; the reference folds multiply over the
+    # letters, non-reduced words included
+    spec, a_word, b_word = case
+    ctx = get_context(spec)
+    for word in (a_word, b_word, a_word + b_word + a_word[::-1]):
+        out = ctx.identity
+        for letter in word:
+            out = ctx.multiply(out, ctx.simple_reflections[letter - 1])
+        assert ctx.from_word(word) is out
 
 
 def test_canonical_word_round_trip():
