@@ -38,6 +38,7 @@ Coset orders are built only when a sweep asks for coset rows.
 
 from __future__ import annotations
 
+from .dynkin import num_positive_roots
 from .errors import ContextMismatch, LengthOutOfRange, NonReducedInput
 from .weyl import WeylElement, WeylGroupContext
 
@@ -113,9 +114,8 @@ def subword_oracle(ctx: WeylGroupContext, v_word, u_word) -> bool:
 
 
 def quotient_dimension(ctx: WeylGroupContext, jset) -> int:
-    """l(w_0^J), the dimension of the corresponding homogeneous variety."""
-    w0j = ctx.longest_in_parabolic(frozenset(jset))
-    return ctx.longest_element.length - w0j.length
+    """l(w_0^J) = N - N_J = dim G/P_J, counted from the degrees: no element is built."""
+    return num_positive_roots(ctx.spec) - num_positive_roots(ctx.spec, jset)
 
 
 def _weight_maps(ctx: WeylGroupContext):

@@ -12,9 +12,10 @@ import json
 import sys
 
 from .bruhat import quotient_elements_of_length
-from .dynkin import DynkinSpec, num_positive_roots
+from .dynkin import DynkinSpec, num_positive_roots, stratum_size
 from .engine import (
     DEFAULT_BUDGET,
+    MAX_STRATUM_ENTRIES,
     MarkedDiagram,
     MdPair,
     effective_divisibility,
@@ -196,10 +197,16 @@ def cmd_morphism(args) -> int:
 def cmd_strata(args) -> int:
     spec = DynkinSpec.parse(args.diagram)
     jset = spec.parse_nodes(args.parabolic)
-    top = num_positive_roots(spec)  # l(w_0) bounds every stratum of every W^J
-    if args.length < 0 or args.length > top:
-        raise EgdError(f"length {args.length} outside 0..{top}")
+    dim = num_positive_roots(spec) - num_positive_roots(spec, jset)
+    if not 0 <= args.length <= dim:
+        raise EgdError(f"no stratum of length {args.length}; W^J has lengths 0..{dim}")
     ctx = get_context(spec)
+    size, width = stratum_size(spec, jset, args.length), ctx.num_positive_roots
+    if size * width > MAX_STRATUM_ENTRIES:
+        raise Infeasible(
+            f"stratum {args.length} of {spec} has {size} elements of width {width}, "
+            f"over the limit of {MAX_STRATUM_ENTRIES} entries"
+        )
     elems = quotient_elements_of_length(ctx, jset, args.length)
     words = [format_word(e.word()) for e in elems]
     if args.json:

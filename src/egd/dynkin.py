@@ -11,13 +11,24 @@ matrices, so they generate the same abstract group with the same Bruhat
 order.  Since nothing in this package depends on root lengths, both
 families are built from one shared table and the resulting contexts are
 bit-identical.
+
+Every count comes from one table of degrees per irreducible type
+(Humphreys, Reflection Groups and Coxeter Groups, 3.7): A_k 2..k+1, B_k and
+C_k 2, 4, ..., 2k, D_k 2, 4, ..., 2k-2, k; G2, F4, E6, E7 and E8 listed.
+|W| is their product, N = l(w_0) the sum of d - 1, the Poincare polynomial
+the product of [d]_q = 1 + q + ... + q^(d-1), and W_J takes the degrees of
+its components.  A fork is E_k only in an E diagram holding nodes 1 and 6:
+without either, two of its legs have one node, and it is D_k.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
-from math import factorial
+from functools import lru_cache
+from itertools import accumulate
+from math import prod
 
 from .errors import EgdError, InvalidRank
 
@@ -33,12 +44,12 @@ _RANK_BOUNDS = {
     "G": (2, 2),
 }
 
-_EXCEPTIONAL_ORDER = {
-    ("G", 2): 12,
-    ("F", 4): 1152,
-    ("E", 6): 51840,
-    ("E", 7): 2903040,
-    ("E", 8): 696729600,
+_EXCEPTIONAL_DEGREES = {
+    ("G", 2): (2, 6),
+    ("F", 4): (2, 6, 8, 12),
+    ("E", 6): (2, 5, 6, 8, 9, 12),
+    ("E", 7): (2, 6, 8, 10, 12, 14, 18),
+    ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30),
 }
 
 
@@ -138,101 +149,91 @@ def cartan_matrix(spec: DynkinSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in cart)
 
 
-def group_order(spec: DynkinSpec) -> int:
-    """Order of the Weyl group."""
-    n = spec.rank
-    if spec.family == "A":
-        return factorial(n + 1)
-    if spec.family in ("B", "C"):
-        return 2**n * factorial(n)
-    if spec.family == "D":
-        return 2 ** (n - 1) * factorial(n)
-    return _EXCEPTIONAL_ORDER[(spec.family, n)]
+def _type_degrees(family: str, k: int) -> tuple[int, ...]:
+    """Degrees of the irreducible Weyl group of type family_k."""
+    if family == "A":
+        return tuple(range(2, k + 2))
+    if family in ("B", "C"):
+        return tuple(range(2, 2 * k + 1, 2))
+    if family == "D":
+        return tuple(range(2, 2 * k - 1, 2)) + (k,)
+    return _EXCEPTIONAL_DEGREES[(family, k)]
 
 
-def num_positive_roots(spec: DynkinSpec) -> int:
-    n = spec.rank
-    counts = {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1)}
-    if spec.family in counts:
-        return counts[spec.family]
-    return {("G", 2): 6, ("F", 4): 24, ("E", 6): 36, ("E", 7): 63, ("E", 8): 120}[
-        (spec.family, n)
-    ]
-
-
-def _component_order(nodes: list[int], comp_bonds: list[tuple[int, int, int]]) -> int:
-    """Weyl group order of one connected subdiagram, classified by shape."""
-    k = len(nodes)
-    if k == 1:
-        return 2
-    mults = [m for _, _, m in comp_bonds]
+def _component_type(spec: DynkinSpec, comp: set[int], comp_bonds) -> tuple[str, int]:
+    """(family, k) of the connected subdiagram of ``spec`` on ``comp``."""
+    k = len(comp)
+    mults = {m for _, _, m in comp_bonds}
     if 6 in mults:
-        return 12
-    degree = {v: 0 for v in nodes}
-    for i, j, _ in comp_bonds:
-        degree[i] += 1
-        degree[j] += 1
+        return "G", 2
     if 4 in mults:
-        di, dj = next((degree[i], degree[j]) for i, j, m in comp_bonds if m == 4)
-        if di == 2 and dj == 2:  # double bond in the interior: F4 itself
-            return 1152
-        return 2**k * factorial(k)
-    branch = [v for v in nodes if degree[v] == 3]
-    if not branch:
-        return factorial(k + 1)  # type A chain
-    # legs of the unique branch node, by length
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    for i, j, _ in comp_bonds:
-        adj[i].append(j)
-        adj[j].append(i)
-    legs = []
-    for start in adj[branch[0]]:
-        leg, prev, cur = 1, branch[0], start
-        while True:
-            nxt = [v for v in adj[cur] if v != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            leg += 1
-        legs.append(leg)
-    legs.sort()
-    if legs[0] == 1 and legs[1] == 1:
-        return 2 ** (k - 1) * factorial(k)  # type D
-    return _EXCEPTIONAL_ORDER[("E", k)]
+        return ("F", 4) if spec.family == "F" and k == 4 else ("B", k)
+    if 3 not in Counter(v for i, j, _ in comp_bonds for v in (i, j)).values():
+        return "A", k
+    return ("E", k) if spec.family == "E" and {1, 6} <= comp else ("D", k)
+
+
+def degrees(spec: DynkinSpec, subset=None) -> tuple[int, ...]:
+    """Degrees of W, or of W_subset, by component from the lowest node; memoised."""
+    return _degrees(spec, frozenset(spec.nodes if subset is None else subset))
+
+
+@lru_cache(maxsize=None)
+def _degrees(spec: DynkinSpec, nodes: frozenset[int]) -> tuple[int, ...]:
+    if bad := sorted(nodes.difference(spec.nodes)):
+        raise EgdError(f"nodes {bad} outside diagram {spec}")
+    inner = [(i, j, m) for i, j, m in bonds(spec) if i in nodes and j in nodes]
+    out, todo = (), set(nodes)
+    while todo:
+        comp, queue = set(), [min(todo)]
+        while queue:
+            v = queue.pop()
+            if v not in comp:
+                comp.add(v)
+                queue += [i + j - v for i, j, _ in inner if v in (i, j)]
+        todo -= comp
+        out += _type_degrees(*_component_type(spec, comp, [b for b in inner if b[0] in comp]))
+    return out
+
+
+def group_order(spec: DynkinSpec) -> int:
+    """Order of the Weyl group, the product of its degrees."""
+    return prod(degrees(spec))
+
+
+def num_positive_roots(spec: DynkinSpec, subset=None) -> int:
+    """N = l(w_0) = sum of (d - 1) over the degrees of W, or N_J for W_subset."""
+    return sum(d - 1 for d in degrees(spec, subset))
 
 
 def parabolic_order(spec: DynkinSpec, subset) -> int:
     """Order of the parabolic subgroup generated by the reflections in ``subset``."""
-    subset = frozenset(subset)
-    for i in subset:
-        if i < 1 or i > spec.rank:
-            raise EgdError(f"node {i} outside diagram {spec}")
-    all_bonds = [(i, j, m) for i, j, m in bonds(spec) if i in subset and j in subset]
-    adj: dict[int, list[int]] = {v: [] for v in subset}
-    for i, j, _ in all_bonds:
-        adj[i].append(j)
-        adj[j].append(i)
-    order = 1
-    todo = set(subset)
-    while todo:
-        seed = min(todo)
-        comp = {seed}
-        queue = [seed]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        todo -= comp
-        comp_bonds = [(i, j, m) for i, j, m in all_bonds if i in comp]
-        order *= _component_order(sorted(comp), comp_bonds)
-    return order
+    return prod(degrees(spec, subset))
 
 
 def quotient_size(spec: DynkinSpec, parabolic_set) -> int:
     """Number of minimal coset representatives |W| / |W_J|."""
     return group_order(spec) // parabolic_order(spec, parabolic_set)
+
+
+def stratum_size(spec: DynkinSpec, parabolic_set, l: int) -> int:
+    """|{x in W^J : l(x) = l}|, the q^l coefficient of prod [d]_q / prod [d^J]_q.
+
+    [d]_q = (1 - q^d)/(1 - q), so the series is truncated after q^l: O(l * rank).
+    """
+    sub = degrees(spec, parabolic_set)
+    if not 0 <= l <= num_positive_roots(spec) - sum(d - 1 for d in sub):
+        return 0
+    poly = [1] + [0] * l
+    for d in degrees(spec):
+        for k in range(l, d - 1, -1):
+            poly[k] -= poly[k - d]
+    for d in sub:
+        for k in range(d, l + 1):
+            poly[k] += poly[k - d]
+    for _ in range(spec.rank - len(sub)):
+        poly = list(accumulate(poly))
+    return poly[l]
 
 
 def is_proper_subdiagram(sub: DynkinSpec, sup: DynkinSpec) -> bool:

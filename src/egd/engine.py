@@ -59,6 +59,9 @@ DEFAULT_BUDGET = 10**6
 # and `ed A100 1` runs in about 0.5 s at 44 MB peak RSS (figures here: one
 # CLI run, Python 3.11 on 2 cores).
 MAX_POSITIVE_ROOTS = 5050
+# Largest stratum `egd strata` builds, in elements times root-permutation
+# width: 10**8 entries hold about 0.8 GB of pointers.
+MAX_STRATUM_ENTRIES = 10**8
 # Largest maximal quotient W^{S - {i}} of a marked node i whose coset order
 # is built: its up-sets take |Q_i|^2 / 16 bytes.  E8 node 3 (69,120
 # cosets) gets one, and `ed E8 3 --mode brute` runs in about 2 s at 0.35 GB

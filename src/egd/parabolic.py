@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynkin import DynkinSpec
+from .dynkin import DynkinSpec, num_positive_roots
 from .errors import NotClassical, NotTypeD
 from .weyl import WeylElement, WeylGroupContext, Word
 
@@ -69,15 +69,14 @@ def longest_in_quotient(ctx: WeylGroupContext, jset) -> WeylElement:
 
 
 def codims(ctx: WeylGroupContext, u: WeylElement, jset) -> CodimData:
-    """Codimensions of u relative to J: c^J, c_J and the total c."""
+    """c^J, c_J and c of u; l(w_0^J) = N - N_J and l(w_{0J}) = N_J are counted, not built."""
     jset = frozenset(jset)
     dec = decompose(ctx, u, jset)
-    dim_quot = longest_in_quotient(ctx, jset).length
-    dim_fiber = longest_in_WJ(ctx, jset).length
+    top, fiber = ctx.longest_element.length, num_positive_roots(ctx.spec, jset)
     return CodimData(
-        cJ_up=dim_quot - dec.up.length,
-        cJ_down=dim_fiber - dec.down.length,
-        c_total=ctx.longest_element.length - u.length,
+        cJ_up=top - fiber - dec.up.length,
+        cJ_down=fiber - dec.down.length,
+        c_total=top - u.length,
     )
 
 

@@ -15,6 +15,7 @@ from egd import (
     WeylGroupContext,
     bruhat_leq,
     build_group,
+    codims,
     dn_distinguished,
     effective_divisibility,
     elements_of_length,
@@ -26,8 +27,8 @@ from egd import (
     quotient_elements_of_length,
     subword_oracle,
 )
-from egd.bruhat import coset_order, quotient_cosets, quotient_stratum
-from egd.dynkin import bonds, quotient_size
+from egd.bruhat import _grown, coset_order, quotient_cosets, quotient_stratum
+from egd.dynkin import bonds, num_positive_roots, quotient_size, stratum_size
 from egd.errors import ContextMismatch, LengthOutOfRange, NonReducedInput
 
 EXTENDED = bool(os.environ.get("EGD_EXTENDED"))
@@ -399,6 +400,77 @@ def test_quotient_strata_match_poincare_polynomial(diagram):
                 for l in range(quotient_dimension(ctx, jset) + 1)
             ]
             assert sizes == expected, sorted(jset)
+            assert [stratum_size(spec, jset, l) for l in range(len(sizes))] == sizes
+
+
+@pytest.mark.parametrize(
+    "diagram", ["A7", "B6", "C5", "D7", "E6", "E7", "E8", "F4", "G2"]
+)
+def test_quotient_dimension_matches_longest_elements(diagram):
+    # the degree table against l(w_0) - l(w_{0J}) read off built root permutations
+    spec = DynkinSpec.parse(diagram)
+    ctx = get_context(spec)
+    for k in range(spec.rank + 1):
+        for jset in map(frozenset, itertools.combinations(spec.nodes, k)):
+            w0j = ctx.longest_in_parabolic(jset)
+            assert num_positive_roots(spec, jset) == w0j.length, sorted(jset)
+            assert quotient_dimension(ctx, jset) == ctx.longest_element.length - w0j.length
+
+
+def _orbit_level_sizes(diagram, cap=None):
+    # level sizes of the weight-orbit strata store, grown without building elements
+    spec = DynkinSpec.parse(diagram)
+    ctx = build_group(spec)
+    interned = len(ctx._intern)
+    for k in range(spec.rank + 1):
+        for jset in map(frozenset, itertools.combinations(spec.nodes, k)):
+            if cap is None or quotient_size(spec, jset) <= cap:
+                dim = quotient_dimension(ctx, jset)
+                store = _grown(ctx, jset, dim // 2)
+                yield spec, jset, [len(store.weights[min(l, dim - l)]) for l in range(dim + 1)]
+    assert len(ctx._intern) == interned
+
+
+@pytest.mark.parametrize("diagram", ["A4", "B4", "C4", "D5", "F4", "G2", "E6"])
+def test_stratum_size_matches_orbit_store(diagram):
+    for spec, jset, sizes in _orbit_level_sizes(diagram):
+        counted = [stratum_size(spec, jset, l) for l in range(-1, len(sizes) + 1)]
+        assert counted == [0] + sizes + [0], sorted(jset)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="E7 quotients up to 10^5 cosets: EGD_EXTENDED=1")
+def test_stratum_size_matches_e7_orbit_store_extended():
+    checked = 0
+    for spec, jset, sizes in _orbit_level_sizes("E7", cap=10**5):
+        assert [stratum_size(spec, jset, l) for l in range(len(sizes))] == sizes, sorted(jset)
+        checked += 1
+    assert checked == 50
+
+
+def test_parabolic_order_of_e_subdiagrams():
+    e7, e8 = DynkinSpec("E", 7), DynkinSpec("E", 8)
+    nodes = frozenset(e8.nodes)
+    assert parabolic_order(e8, nodes - {8}) == group_order(e7) == 2903040
+    assert parabolic_order(e8, nodes - {7}) == 51840 * 2  # E6 x A1
+    assert parabolic_order(e8, nodes - {1}) == 2**6 * 5040  # D7
+    assert parabolic_order(e8, nodes - {6}) == 2**4 * 120 * 6  # D5 x A2
+    assert parabolic_order(e7, frozenset(e7.nodes) - {1}) == 2**5 * 720  # D6
+
+
+def test_dimensions_counted_not_built():
+    # quotient_dimension and codims read dimensions off the degrees: a fresh
+    # context interns no element for them
+    spec = DynkinSpec("E", 8)
+    ctx = build_group(spec)
+    interned = len(ctx._intern)
+    dims = {}
+    for i in spec.nodes:
+        jset = frozenset(spec.nodes) - {i}
+        dims[i] = quotient_dimension(ctx, jset)
+        cd = codims(ctx, ctx.identity, jset)
+        assert (cd.cJ_up, cd.cJ_down, cd.c_total) == (dims[i], 120 - dims[i], 120)
+    assert len(ctx._intern) == interned
+    assert dims[1] == 78 and dims[8] == 57  # E8/P_1 and E8/P_8
 
 
 @pytest.mark.parametrize(

@@ -177,10 +177,11 @@ def test_out_of_range_nodes_listed_sorted(capsys, argv):
         ("mdpairs", "D4", "all", "--budget", "-1"),
         ("morphism", "A4:1", "A3:2", "--workers", "0"),
         ("morphism", "A4:1", "A3:2", "--budget", "-5"),
-        # strata lengths outside 0..l(w_0); A60 would take seconds to build
+        # strata lengths outside 0..dim G/P_J; A60 would take seconds to build
         ("strata", "D4", "-1"),
         ("strata", "D4", "13"),
         ("strata", "D4", "-1", "2,3,4"),
+        ("strata", "D4", "7", "2,3,4"),
         ("strata", "A60", "2000"),
     ],
 )
@@ -301,10 +302,32 @@ def test_root_limit_admits_the_largest_benchmarked_groups():
 
 
 def test_strata_length_past_quotient_dimension(capsys):
-    # 7 <= l(w_0) = 12 passes the early check; W^J of D4(1) has lengths 0..6
+    # the bound is dim G/P_J from the degree table: W^J of D4(1) has lengths 0..6
     code, out, err = run(capsys, "strata", "D4", "7", "2,3,4")
     assert code == 2 and out == ""
-    assert err.startswith("error: no stratum of length 7")
+    assert err == "error: no stratum of length 7; W^J has lengths 0..6\n"
+
+
+def test_oversize_stratum_refused_before_build(capsys, monkeypatch):
+    # stratum 3 of A100(1) has 166,649 elements of 5,050 root positions each
+    import egd.bruhat
+    from egd import DynkinSpec
+    from egd.dynkin import stratum_size
+    from egd.engine import MAX_STRATUM_ENTRIES
+
+    def no_stratum(*args):
+        raise AssertionError("built a stratum")
+
+    monkeypatch.setattr(egd.bruhat, "quotient_stratum", no_stratum)
+    code, out, err = run(capsys, "strata", "A100", "3", "2")
+    assert code == 3 and out == ""
+    assert err == (
+        "infeasible: stratum 3 of A100 has 166649 elements of width 5050, "
+        f"over the limit of {MAX_STRATUM_ENTRIES} entries\n"
+    )
+    # `strata E7 20 none`, 58,009 elements of width 63, still prints
+    assert stratum_size(DynkinSpec.parse("E7"), (), 20) == 58009
+    assert 58009 * 63 <= MAX_STRATUM_ENTRIES
 
 
 def test_zero_budget_still_accepted(capsys):
