@@ -38,8 +38,8 @@ Coset orders are built only when a sweep asks for coset rows.
 
 from __future__ import annotations
 
-from .dynkin import num_positive_roots
-from .errors import ContextMismatch, LengthOutOfRange, NonReducedInput
+from .dynkin import check_length, dimension
+from .errors import ContextMismatch, NonReducedInput
 from .weyl import WeylElement, WeylGroupContext
 
 
@@ -115,7 +115,7 @@ def subword_oracle(ctx: WeylGroupContext, v_word, u_word) -> bool:
 
 def quotient_dimension(ctx: WeylGroupContext, jset) -> int:
     """l(w_0^J) = N - N_J = dim G/P_J, counted from the degrees: no element is built."""
-    return num_positive_roots(ctx.spec) - num_positive_roots(ctx.spec, jset)
+    return dimension(ctx.spec, jset)
 
 
 def _weight_maps(ctx: WeylGroupContext):
@@ -190,8 +190,7 @@ def _grown(ctx: WeylGroupContext, jset: frozenset[int], l: int) -> _Strata:
     store = ctx._strata.get(jset)
     if store is None:
         store = ctx._strata[jset] = _Strata(ctx, jset, quotient_dimension(ctx, jset))
-    if not 0 <= l <= store.dim:
-        raise LengthOutOfRange(f"no stratum of length {l}; W^J has lengths 0..{store.dim}")
+    check_length(l, store.dim)
     store.grow(l)
     return store
 
@@ -302,8 +301,6 @@ def coset_masks(ctx: WeylGroupContext, jset, l: int) -> list[int]:
 
 def elements_of_length(ctx: WeylGroupContext, l: int) -> list[WeylElement]:
     """All elements of length exactly l, sorted by canonical word."""
-    if l < 0 or l > ctx.longest_element.length:
-        raise LengthOutOfRange(f"length {l} outside 0..{ctx.longest_element.length}")
     return sorted(quotient_stratum(ctx, frozenset(), l), key=lambda e: e.word())
 
 

@@ -1,6 +1,8 @@
 """Command-line front end: ed sweeps, md-pair listings, decomposition, morphisms.
 
 Output is deterministic: identical inputs give byte-identical text and JSON.
+Commands only parse arguments and print; every check lives in dynkin and
+engine and runs before any group is built.
 The sweep runs in one process; ``--workers`` is accepted for compatibility
 and changes nothing.  Exit codes: 0 success, 2 bad input, 3 infeasible.
 """
@@ -11,21 +13,20 @@ import argparse
 import json
 import sys
 
-from .bruhat import quotient_elements_of_length
-from .dynkin import DynkinSpec, num_positive_roots, stratum_size
+from .dynkin import DynkinSpec
 from .engine import (
     DEFAULT_BUDGET,
-    MAX_STRATUM_ENTRIES,
     MarkedDiagram,
     MdPair,
     effective_divisibility,
-    get_context,
+    element_of_word,
     md_pairs,
     morphism_constancy,
+    stratum,
 )
 from .errors import EgdError, Infeasible
 from .parabolic import codims, decompose
-from .weyl import format_word, parse_word
+from .weyl import format_word
 
 _MODES = {"closed": "closed_form", "brute": "brute_force", "both": "both"}
 
@@ -122,10 +123,8 @@ def cmd_mdpairs(args) -> int:
 def cmd_decompose(args) -> int:
     spec = DynkinSpec.parse(args.diagram)
     jset = spec.parse_nodes(args.parabolic)
-    ctx = get_context(spec)
-    w = ctx.from_word(parse_word(args.word))
-    dec = decompose(ctx, w, jset)
-    cd = codims(ctx, w, jset)
+    w = element_of_word(spec, args.word)
+    dec, cd = decompose(w.ctx, w, jset), codims(w.ctx, w, jset)
     up_word = format_word(dec.up.word()) if dec.up.length else ""
     down_word = format_word(dec.down.word()) if dec.down.length else ""
     if args.json:
@@ -197,18 +196,7 @@ def cmd_morphism(args) -> int:
 def cmd_strata(args) -> int:
     spec = DynkinSpec.parse(args.diagram)
     jset = spec.parse_nodes(args.parabolic)
-    dim = num_positive_roots(spec) - num_positive_roots(spec, jset)
-    if not 0 <= args.length <= dim:
-        raise EgdError(f"no stratum of length {args.length}; W^J has lengths 0..{dim}")
-    ctx = get_context(spec)
-    size, width = stratum_size(spec, jset, args.length), ctx.num_positive_roots
-    if size * width > MAX_STRATUM_ENTRIES:
-        raise Infeasible(
-            f"stratum {args.length} of {spec} has {size} elements of width {width}, "
-            f"over the limit of {MAX_STRATUM_ENTRIES} entries"
-        )
-    elems = quotient_elements_of_length(ctx, jset, args.length)
-    words = [format_word(e.word()) for e in elems]
+    words = [format_word(e.word()) for e in stratum(spec, jset, args.length)]
     if args.json:
         _emit_json(
             {

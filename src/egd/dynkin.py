@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import prod
 
-from .errors import EgdError, InvalidRank
+from .errors import BadLetter, EgdError, InvalidRank, LengthOutOfRange
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -94,10 +94,22 @@ class DynkinSpec:
             nodes = frozenset(int(p) for p in key.split(","))
         except ValueError as exc:
             raise EgdError(f"cannot parse node set {text!r}") from exc
-        bad = sorted(i for i in nodes if i < 1 or i > self.rank)
-        if bad:
-            raise EgdError(f"nodes {bad} outside diagram {self}")
+        return self.check_nodes(nodes)
+
+    def check_nodes(self, nodes, what: str = "nodes") -> frozenset[int]:
+        """``nodes`` as a frozenset; EgdError listing, sorted, those outside 1..rank."""
+        nodes = frozenset(nodes)
+        if bad := sorted(i for i in nodes if not 1 <= i <= self.rank):
+            raise EgdError(f"{what} {bad} outside diagram {self}")
         return nodes
+
+    def check_word(self, word) -> tuple[int, ...]:
+        """``word`` as a tuple; BadLetter at its first letter outside 1..rank."""
+        word = tuple(word)
+        for letter in word:
+            if not 1 <= letter <= self.rank:
+                raise BadLetter(f"letter {letter} outside 1..{self.rank}")
+        return word
 
 
 def bonds(spec: DynkinSpec) -> list[tuple[int, int, int]]:
@@ -180,8 +192,7 @@ def degrees(spec: DynkinSpec, subset=None) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _degrees(spec: DynkinSpec, nodes: frozenset[int]) -> tuple[int, ...]:
-    if bad := sorted(nodes.difference(spec.nodes)):
-        raise EgdError(f"nodes {bad} outside diagram {spec}")
+    spec.check_nodes(nodes)
     inner = [(i, j, m) for i, j, m in bonds(spec) if i in nodes and j in nodes]
     out, todo = (), set(nodes)
     while todo:
@@ -194,6 +205,17 @@ def _degrees(spec: DynkinSpec, nodes: frozenset[int]) -> tuple[int, ...]:
         todo -= comp
         out += _type_degrees(*_component_type(spec, comp, [b for b in inner if b[0] in comp]))
     return out
+
+
+def dimension(spec: DynkinSpec, parabolic_set) -> int:
+    """dim G/P_J = l(w_0^J) = N - N_J."""
+    return num_positive_roots(spec) - num_positive_roots(spec, parabolic_set)
+
+
+def check_length(l: int, dim: int) -> None:
+    """LengthOutOfRange unless a W^J with dim G/P_J = dim has a stratum of length l."""
+    if not 0 <= l <= dim:
+        raise LengthOutOfRange(f"no stratum of length {l}; W^J has lengths 0..{dim}")
 
 
 def group_order(spec: DynkinSpec) -> int:
@@ -221,9 +243,9 @@ def stratum_size(spec: DynkinSpec, parabolic_set, l: int) -> int:
 
     [d]_q = (1 - q^d)/(1 - q), so the series is truncated after q^l: O(l * rank).
     """
-    sub = degrees(spec, parabolic_set)
-    if not 0 <= l <= num_positive_roots(spec) - sum(d - 1 for d in sub):
+    if not 0 <= l <= dimension(spec, parabolic_set):
         return 0
+    sub = degrees(spec, parabolic_set)
     poly = [1] + [0] * l
     for d in degrees(spec):
         for k in range(l, d - 1, -1):

@@ -23,6 +23,12 @@ no coset order: such a marked set is compared pair by pair with
 bruhat_leq on whole strata of elements, and its full sweep is refused
 before anything is built when no closed form bounds where it stops.
 
+Admission: every refusal is decided before any context is built, from the
+spec and the degree table alone.  dynkin checks node ranges, letters and
+stratum lengths and counts |W|, N and dim G/P_J; the size limits below
+(roots, budget, cosets, stratum entries) are checked here, in a fixed
+order, so an input bad in two ways always gets the same refusal.
+
 Closed forms: A_n(R) = n, B_n(R) = C_n(R) = 2n-1, D_n(R) = 2n-3 when R
 meets {1, n-1, n} and 2n-2 otherwise; complete flags of G2, F4, E6 give
 5, 12, 12.  Brute force cross-validates the closed forms and is the only
@@ -40,10 +46,19 @@ from .bruhat import (
     coset_order,
     quotient_cosets,
     quotient_dimension,
+    quotient_elements_of_length,
     quotient_stratum,
     stratum_element,
 )
-from .dynkin import DynkinSpec, is_proper_subdiagram, num_positive_roots, quotient_size
+from .dynkin import (
+    DynkinSpec,
+    check_length,
+    dimension,
+    is_proper_subdiagram,
+    num_positive_roots,
+    quotient_size,
+    stratum_size,
+)
 from .errors import DegreeOutOfRange, EgdError, EmptyMarkedSet, Infeasible
 from .parabolic import (
     decompose,
@@ -51,8 +66,9 @@ from .parabolic import (
     is_opposite_pullback,
     is_schubert_pullback,
     longest_in_WJ,
+    require_type_d,
 )
-from .weyl import WeylElement, WeylGroupContext, build_group
+from .weyl import WeylElement, WeylGroupContext, build_group, parse_word
 
 DEFAULT_BUDGET = 10**6
 # Largest group built: A100 (5,050 positive roots) builds in about 0.3 s,
@@ -72,6 +88,16 @@ MAX_COSETS = 100_000
 _context_cache: dict[DynkinSpec, WeylGroupContext] = {}
 
 
+def _roots(spec: DynkinSpec) -> int:
+    """N of spec; Infeasible, from the degrees alone, over MAX_POSITIVE_ROOTS."""
+    roots = num_positive_roots(spec)
+    if roots > MAX_POSITIVE_ROOTS:
+        raise Infeasible(
+            f"{spec} has {roots} positive roots, over the limit of {MAX_POSITIVE_ROOTS}"
+        )
+    return roots
+
+
 def get_context(spec: DynkinSpec) -> WeylGroupContext:
     """Shared per-spec context; construction is deterministic so sharing is safe.
 
@@ -80,13 +106,8 @@ def get_context(spec: DynkinSpec) -> WeylGroupContext:
     """
     ctx = _context_cache.get(spec)
     if ctx is None:
-        roots = num_positive_roots(spec)
-        if roots > MAX_POSITIVE_ROOTS:
-            raise Infeasible(
-                f"{spec} has {roots} positive roots, over the limit of {MAX_POSITIVE_ROOTS}"
-            )
-        ctx = build_group(spec)
-        _context_cache[spec] = ctx
+        _roots(spec)
+        ctx = _context_cache[spec] = build_group(spec)
     return ctx
 
 
@@ -98,9 +119,7 @@ class MarkedDiagram:
     marked: frozenset[int]
 
     def __post_init__(self):
-        bad = sorted(i for i in self.marked if i < 1 or i > self.spec.rank)
-        if bad:
-            raise EgdError(f"marked nodes {bad} outside diagram {self.spec}")
+        self.spec.check_nodes(self.marked, "marked nodes")
 
     @property
     def parabolic_set(self) -> frozenset[int]:
@@ -342,11 +361,8 @@ def effective_divisibility(
             raise Infeasible(f"no closed form for {md.label()}")
         return EdResult(cf, "closed_form", None, cf, None, False)
 
-    if mode == "brute_force" and blocked:
+    if blocked and (mode == "brute_force" or cf is None):
         raise Infeasible(blocked)
-    if mode == "both" and blocked and cf is None:
-        raise Infeasible(blocked)
-
     if blocked:
         return EdResult(cf, "closed_form", None, cf, None, False)
 
@@ -383,14 +399,14 @@ def md_pairs(
     blocked = _infeasibility(md, budget, extended)
     if blocked:
         raise Infeasible(blocked)
+    _roots(md.spec)  # get_context's refusal, still ahead of the degree's
+    dim = dimension(md.spec, jset)
+    if degree is not None and not 0 <= degree <= dim + 1:
+        raise DegreeOutOfRange(f"degree {degree} outside 0..{dim + 1}")
+    if classify:
+        require_type_d(md.spec)
     ctx = get_context(md.spec)
-    if degree is None:
-        pairs = _brute_ed(ctx, jset)[2]
-    else:
-        dim = quotient_dimension(ctx, jset)
-        if degree < 0 or degree > dim + 1:
-            raise DegreeOutOfRange(f"degree {degree} outside 0..{dim + 1}")
-        pairs = _listing(ctx, jset, degree)
+    pairs = _brute_ed(ctx, jset)[2] if degree is None else _listing(ctx, jset, degree)
     if classify:
         pairs = classify_md_pairs(ctx, pairs, jset=jset)
     return pairs
@@ -428,18 +444,22 @@ def classify_md_pairs(
     return out
 
 
-def _resolve_ed(side, *, budget: int, extended: bool) -> tuple[int, str]:
-    """(ed value, display label) for a marked diagram or a user-supplied value."""
+def _resolve_ed(side, *, budget: int, extended: bool):
+    """A callable giving (ed value, display label) of a marked diagram or an int.
+
+    Every refusal of the side is raised here, not by the callable, so both
+    sides of a morphism are checked before either builds a context.
+    """
     if isinstance(side, int):
-        return side, f"ed={side}"
-    _parabolic_set(side)
+        return lambda: (side, f"ed={side}")
+    jset = _parabolic_set(side)
     cf = closed_form_ed(side)
     if cf is not None:
-        return cf, side.label()
-    result = effective_divisibility(
-        side, "brute_force", budget=budget, extended=extended
-    )
-    return result.value, side.label()
+        return lambda: (cf, side.label())
+    blocked = _infeasibility(side, budget, extended)
+    if blocked:
+        raise Infeasible(blocked)
+    return lambda: (_brute_ed(get_context(side.spec), jset)[0], side.label())
 
 
 def morphism_constancy(
@@ -457,8 +477,8 @@ def morphism_constancy(
     The proper-subdiagram rule is reported when it applies; in that case
     the ed comparison always lands on "constant" as well.
     """
-    src_ed, src_label = _resolve_ed(source, budget=budget, extended=extended)
-    tgt_ed, tgt_label = _resolve_ed(target, budget=budget, extended=extended)
+    src, tgt = [_resolve_ed(side, budget=budget, extended=extended) for side in (source, target)]
+    (src_ed, src_label), (tgt_ed, tgt_label) = src(), tgt()
     rule = (
         isinstance(source, MarkedDiagram)
         and isinstance(target, MarkedDiagram)
@@ -466,3 +486,32 @@ def morphism_constancy(
     )
     verdict = "constant" if src_ed > tgt_ed else "inconclusive"
     return MorphismVerdict(verdict, src_label, tgt_label, src_ed, tgt_ed, rule)
+
+
+def stratum(spec: DynkinSpec, jset, l: int) -> list[WeylElement]:
+    """Stratum l of W^J sorted by canonical word, checked before anything is built.
+
+    A length outside 0..dim G/P_J raises LengthOutOfRange; a group over
+    MAX_POSITIVE_ROOTS, or a stratum whose size times root-permutation width
+    exceeds MAX_STRATUM_ENTRIES, raises Infeasible.  Sizes come from the
+    degree table.
+    """
+    check_length(l, dimension(spec, jset))
+    size, width = stratum_size(spec, jset, l), _roots(spec)
+    if size * width > MAX_STRATUM_ENTRIES:
+        raise Infeasible(
+            f"stratum {l} of {spec} has {size} elements of width {width}, "
+            f"over the limit of {MAX_STRATUM_ENTRIES} entries"
+        )
+    return quotient_elements_of_length(get_context(spec), jset, l)
+
+
+def element_of_word(spec: DynkinSpec, text: str) -> WeylElement:
+    """The element a comma-separated word evaluates to, in the shared context.
+
+    A group over MAX_POSITIVE_ROOTS, then a word that does not parse or has a
+    letter outside 1..rank, is refused before any context is built.
+    """
+    _roots(spec)
+    word = spec.check_word(parse_word(text))
+    return get_context(spec).from_word(word)

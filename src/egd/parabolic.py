@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynkin import DynkinSpec, num_positive_roots
+from .dynkin import DynkinSpec, dimension, num_positive_roots
 from .errors import NotClassical, NotTypeD
 from .weyl import WeylElement, WeylGroupContext, Word
 
@@ -45,13 +45,9 @@ class CodimData:
 
 def decompose(ctx: WeylGroupContext, w: WeylElement, jset) -> Decomposition:
     """Split w into its minimal coset representative and its W_J part."""
-    jlist = sorted(frozenset(jset))
-    x = w
-    stripped = []
-    while True:
-        j = next((j for j in jlist if x.perm[j - 1] < 0), None)
-        if j is None:
-            break
+    jlist = sorted(ctx.spec.check_nodes(jset))
+    x, stripped = w, []
+    while (j := next((k for k in jlist if x.perm[k - 1] < 0), None)) is not None:
         x = ctx.multiply(x, ctx.simple_reflections[j - 1])
         stripped.append(j)
     down = ctx.from_word(reversed(stripped))
@@ -70,13 +66,11 @@ def longest_in_quotient(ctx: WeylGroupContext, jset) -> WeylElement:
 
 def codims(ctx: WeylGroupContext, u: WeylElement, jset) -> CodimData:
     """c^J, c_J and c of u; l(w_0^J) = N - N_J and l(w_{0J}) = N_J are counted, not built."""
-    jset = frozenset(jset)
     dec = decompose(ctx, u, jset)
-    top, fiber = ctx.longest_element.length, num_positive_roots(ctx.spec, jset)
     return CodimData(
-        cJ_up=top - fiber - dec.up.length,
-        cJ_down=fiber - dec.down.length,
-        c_total=top - u.length,
+        cJ_up=dimension(ctx.spec, jset) - dec.up.length,
+        cJ_down=num_positive_roots(ctx.spec, jset) - dec.down.length,
+        c_total=ctx.longest_element.length - u.length,
     )
 
 
@@ -96,22 +90,27 @@ def stumbo_word(spec: DynkinSpec) -> Word:
 
 
 def is_schubert_pullback(ctx: WeylGroupContext, u: WeylElement, jset) -> bool:
-    """True iff the Schubert class of u on the flag comes from G/P_J (u_J = w_{0J})."""
-    return decompose(ctx, u, jset).down is longest_in_WJ(ctx, jset)
+    """True iff the Schubert class of u on the flag comes from G/P_J (u_J = w_{0J}).
+
+    For j in J, u s_j < u iff u_J s_j < u_J, and w_{0J} is the one element
+    of W_J with every j in J as a right descent.
+    """
+    return all(u.perm[j - 1] < 0 for j in ctx.spec.check_nodes(jset))
 
 
 def is_opposite_pullback(ctx: WeylGroupContext, v: WeylElement, jset) -> bool:
-    """True iff the opposite class of v comes from G/P_J (v in W^J)."""
-    return decompose(ctx, v, jset).down.length == 0
+    """True iff the opposite class of v comes from G/P_J (v in W^J: no right descent in J)."""
+    return not any(v.perm[j - 1] < 0 for j in ctx.spec.check_nodes(jset))
 
 
 # -- distinguished elements in type D ---------------------------------------
 
 
-def _require_type_d(ctx: WeylGroupContext) -> int:
-    if ctx.spec.family != "D":
-        raise NotTypeD(f"operation needs family D, got {ctx.spec}")
-    return ctx.rank
+def require_type_d(spec: DynkinSpec) -> int:
+    """The rank of a family-D diagram; NotTypeD for any other family."""
+    if spec.family != "D":
+        raise NotTypeD(f"operation needs family D, got {spec}")
+    return spec.rank
 
 
 def _theta_word(n: int, kind: str) -> Word:
@@ -156,7 +155,7 @@ def spinor_word(n: int, seq: tuple[int, ...]) -> Word:
 
 def spinor_coset_words(ctx: WeylGroupContext) -> list[tuple[tuple[int, ...], Word]]:
     """All (sequence, word) pairs of the spinor parametrization of W^{Delta\\{n}}."""
-    n = _require_type_d(ctx)
+    n = require_type_d(ctx.spec)
     return [(seq, spinor_word(n, seq)) for seq in spinor_sequences(n)]
 
 
@@ -177,7 +176,7 @@ def dn_distinguished(ctx: WeylGroupContext) -> DnDistinguished:
     sigma_beta is the spinor element of the sequence (0, 1, ..., n-2),
     whose opposite class is its own disjoint partner.
     """
-    n = _require_type_d(ctx)
+    n = require_type_d(ctx.spec)
     w_alpha = ctx.from_word((n - 1,) + tuple(range(n - 2, 0, -1)))
     w_beta = ctx.from_word((n,) + tuple(range(n - 2, 0, -1)))
     sigma = ctx.from_word(spinor_word(n, (0,) + tuple(range(1, n - 1))))

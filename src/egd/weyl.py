@@ -98,9 +98,7 @@ class WeylElement:
     def min_left_descent(self) -> int:
         """Smallest i with l(s_i w) < l(w), or 0 for the identity."""
         if self._min_left < 0:
-            # s_i is a left descent iff w sends some positive root to -alpha_i
-            hits = self.ctx._negated_simple.intersection(self.perm)
-            self._min_left = -max(hits, default=0)
+            self._min_left = min(self.ctx.descents(self, "left"), default=0)
         return self._min_left
 
     def __repr__(self) -> str:
@@ -245,21 +243,18 @@ class WeylGroupContext:
         """Generators i with l(x s_i) < l(x) (right) or l(s_i x) < l(x) (left)."""
         if side == "right":
             return frozenset(i for i in range(1, self.rank + 1) if x.perm[i - 1] < 0)
-        if side == "left":
-            return self.descents(self.inverse(x), "right")
+        if side == "left":  # s_i x < x iff x sends some positive root to -alpha_i
+            return frozenset(-k for k in self._negated_simple.intersection(x.perm))
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
     def from_word(self, word) -> WeylElement:
         """Evaluate a word (any sequence of generator indices, not necessarily reduced).
 
-        Every letter is checked first; the word is then composed in place on
-        a plain list, as in longest_in_parabolic, so only the result is
-        interned.
+        Every letter is checked first (DynkinSpec.check_word); the word is
+        then composed in place on a plain list, as in longest_in_parabolic,
+        so only the result is interned.
         """
-        word = tuple(word)
-        for letter in word:
-            if not 1 <= letter <= self.rank:
-                raise BadLetter(f"letter {letter} outside 1..{self.rank}")
+        word = self.spec.check_word(word)
         perm = list(self.identity.perm)
         for letter in word:
             self._times_generator(perm, letter)
@@ -286,18 +281,11 @@ class WeylGroupContext:
         cached = self._longest_parabolic.get(key)
         if cached is not None:
             return cached
-        for i in key:
-            if not 1 <= i <= self.rank:
-                raise BadLetter(f"node {i} outside 1..{self.rank}")
         perm = list(self.identity.perm)
-        ordered = sorted(key)
-        while True:
-            i = next((i for i in ordered if perm[i - 1] > 0), None)
-            if i is None:
-                break
+        ordered = sorted(self.spec.check_nodes(key))
+        while (i := next((k for k in ordered if perm[k - 1] > 0), None)) is not None:
             self._times_generator(perm, i)
-        x = self._longest_parabolic[key] = self._make(tuple(perm))
-        return x
+        return self._longest_parabolic.setdefault(key, self._make(tuple(perm)))
 
     def coxeter_number(self) -> int:
         """Multiplicative order of the product of all simple reflections."""

@@ -268,7 +268,10 @@ def test_elements_of_length_basics():
     assert elements_of_length(ctx, 0) == [ctx.identity]
     assert set(elements_of_length(ctx, 1)) == set(ctx.simple_reflections)
     assert elements_of_length(ctx, 12) == [ctx.longest_element]
-    with pytest.raises(LengthOutOfRange):
+    # one length check for W and every W^J, with the message of `egd strata`
+    with pytest.raises(
+        LengthOutOfRange, match=r"^no stratum of length 13; W\^J has lengths 0\.\.12$"
+    ):
         elements_of_length(ctx, 13)
     with pytest.raises(LengthOutOfRange):
         elements_of_length(ctx, -1)

@@ -183,13 +183,26 @@ def test_out_of_range_nodes_listed_sorted(capsys, argv):
         ("strata", "D4", "-1", "2,3,4"),
         ("strata", "D4", "7", "2,3,4"),
         ("strata", "A60", "2000"),
+        # an admitted root count, then a bad degree or letter: A100 is not built
+        ("mdpairs", "A100", "1", "--degree", "999"),
+        ("decompose", "A100", "0,1", "1"),
+        # bad two ways: the length is checked before the root count
+        ("strata", "A200", "99999", "2"),
+        # refused before the sweep: classification is for family D only
+        ("mdpairs", "A3", "all", "--classify"),
+        # the target is checked before the source's sweep builds E7
+        ("morphism", "E7:1,2", "D4:none"),
     ],
 )
 def test_bad_workers_and_budget_rejected_before_build(capsys, monkeypatch, argv):
     import egd.engine
 
+    def no_build(spec):
+        raise AssertionError(f"built {spec}")
+
     built = {}
     monkeypatch.setattr(egd.engine, "_context_cache", built)
+    monkeypatch.setattr(egd.engine, "build_group", no_build)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
@@ -203,6 +216,8 @@ def test_bad_workers_and_budget_rejected_before_build(capsys, monkeypatch, argv)
         ("ed", "A200", "1"),
         ("strata", "A200", "3"),
         ("decompose", "A200", "1", "2"),
+        # bad two ways: the root count is checked before the letters
+        ("decompose", "A200", "0", "1"),
     ],
 )
 def test_huge_group_refused_before_build(capsys, monkeypatch, argv):
@@ -230,6 +245,7 @@ def test_huge_group_refused_before_build(capsys, monkeypatch, argv):
         (("ed", "E8", "3,5", "--budget", "100000000"), 5, 241920),
         (("ed", "E8", "5,6"), 5, 241920),
         (("mdpairs", "E8", "4"), 4, 483840),
+        (("morphism", "E6:1", "E8:4"), 4, 483840),
     ],
 )
 def test_oversize_coset_order_refused_before_build(capsys, monkeypatch, argv, node, cosets):
@@ -310,21 +326,26 @@ def test_strata_length_past_quotient_dimension(capsys):
 
 def test_oversize_stratum_refused_before_build(capsys, monkeypatch):
     # stratum 3 of A100(1) has 166,649 elements of 5,050 root positions each
-    import egd.bruhat
+    import egd.engine
     from egd import DynkinSpec
     from egd.dynkin import stratum_size
     from egd.engine import MAX_STRATUM_ENTRIES
 
-    def no_stratum(*args):
-        raise AssertionError("built a stratum")
+    def no_build(spec):
+        raise AssertionError(f"built {spec}")
 
-    monkeypatch.setattr(egd.bruhat, "quotient_stratum", no_stratum)
-    code, out, err = run(capsys, "strata", "A100", "3", "2")
-    assert code == 3 and out == ""
-    assert err == (
-        "infeasible: stratum 3 of A100 has 166649 elements of width 5050, "
-        f"over the limit of {MAX_STRATUM_ENTRIES} entries\n"
-    )
+    built = {}
+    monkeypatch.setattr(egd.engine, "_context_cache", built)
+    monkeypatch.setattr(egd.engine, "build_group", no_build)
+    assert stratum_size(DynkinSpec.parse("A100"), {2}, 3) == 166649
+    for length in (3, 999):
+        size = stratum_size(DynkinSpec.parse("A100"), {2}, length)
+        code, out, err = run(capsys, "strata", "A100", str(length), "2")
+        assert code == 3 and out == "" and built == {}
+        assert err == (
+            f"infeasible: stratum {length} of A100 has {size} elements of width 5050, "
+            f"over the limit of {MAX_STRATUM_ENTRIES} entries\n"
+        )
     # `strata E7 20 none`, 58,009 elements of width 63, still prints
     assert stratum_size(DynkinSpec.parse("E7"), (), 20) == 58009
     assert 58009 * 63 <= MAX_STRATUM_ENTRIES

@@ -21,7 +21,7 @@ from egd import (
     spinor_coset_words,
     stumbo_word,
 )
-from egd.errors import NotClassical, NotTypeD
+from egd.errors import EgdError, NotClassical, NotTypeD
 from egd.parabolic import spinor_sequences, spinor_word
 
 
@@ -244,6 +244,32 @@ def test_pullback_edge_cases():
     assert not is_schubert_pullback(ctx, ctx.identity, jset)
     assert is_opposite_pullback(ctx, ctx.identity, jset)
     assert not is_opposite_pullback(ctx, ctx.simple_reflections[1], jset)
+
+
+@pytest.mark.parametrize("text", ["A3", "B3", "D4", "G2", "F4"])
+def test_pullbacks_match_decompose_exhaustive(text):
+    # right-descent tests against the definitions: u_J = w_{0J} and u_J = e
+    spec = DynkinSpec.parse(text)
+    ctx = get_context(spec)
+    elems = [e for l in range(ctx.num_positive_roots + 1) for e in elements_of_length(ctx, l)]
+    for k in range(spec.rank + 1):
+        for jset in map(frozenset, itertools.combinations(spec.nodes, k)):
+            w0j = longest_in_WJ(ctx, jset)
+            for u in elems:
+                down = decompose(ctx, u, jset).down
+                assert is_schubert_pullback(ctx, u, jset) == (down is w0j)
+                assert is_opposite_pullback(ctx, u, jset) == (down.length == 0)
+
+
+@pytest.mark.parametrize("node", [0, 4])
+def test_nodes_outside_diagram_raise(node):
+    # node 0 once sent decompose round s_3 forever: perm[-1] is the top root
+    ctx = get_context(DynkinSpec("A", 3))
+    for check in (decompose, is_schubert_pullback, is_opposite_pullback):
+        with pytest.raises(EgdError, match=rf"nodes \[{node}\] outside diagram A3"):
+            check(ctx, ctx.longest_element, {1, node})
+    with pytest.raises(EgdError):
+        longest_in_WJ(ctx, {node})
 
 
 def test_pullback_d4_pair_three():

@@ -179,6 +179,12 @@ def test_descents():
     w0 = ctx.longest_element
     assert ctx.descents(w0, "right") == {1, 2, 3}
     assert ctx.descents(w0, "left") == {1, 2, 3}
+    # left descents are read off the perm; the reference goes through x^-1
+    for text in ("A3", "B3", "D4", "G2", "F4"):
+        ctx = get_context(DynkinSpec.parse(text))
+        for l in range(ctx.num_positive_roots + 1):
+            for x in elements_of_length(ctx, l):
+                assert ctx.descents(x, "left") == ctx.descents(ctx.inverse(x), "right")
 
 
 def test_from_word():
