@@ -124,7 +124,8 @@ def cmd_decompose(args) -> int:
     spec = DynkinSpec.parse(args.diagram)
     jset = spec.parse_nodes(args.parabolic)
     w = element_of_word(spec, args.word)
-    dec, cd = decompose(w.ctx, w, jset), codims(w.ctx, w, jset)
+    dec = decompose(w.ctx, w, jset)
+    cd = codims(w.ctx, w, jset)
     up_word = format_word(dec.up.word()) if dec.up.length else ""
     down_word = format_word(dec.down.word()) if dec.down.length else ""
     if args.json:

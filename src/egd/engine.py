@@ -107,7 +107,8 @@ def get_context(spec: DynkinSpec) -> WeylGroupContext:
     ctx = _context_cache.get(spec)
     if ctx is None:
         _roots(spec)
-        ctx = _context_cache[spec] = build_group(spec)
+        ctx = build_group(spec)
+        _context_cache[spec] = ctx
     return ctx
 
 
@@ -361,8 +362,11 @@ def effective_divisibility(
             raise Infeasible(f"no closed form for {md.label()}")
         return EdResult(cf, "closed_form", None, cf, None, False)
 
-    if blocked and (mode == "brute_force" or cf is None):
+    if mode == "brute_force" and blocked:
         raise Infeasible(blocked)
+    if mode == "both" and blocked and cf is None:
+        raise Infeasible(blocked)
+
     if blocked:
         return EdResult(cf, "closed_form", None, cf, None, False)
 
@@ -452,14 +456,17 @@ def _resolve_ed(side, *, budget: int, extended: bool):
     """
     if isinstance(side, int):
         return lambda: (side, f"ed={side}")
-    jset = _parabolic_set(side)
+    _parabolic_set(side)
     cf = closed_form_ed(side)
     if cf is not None:
         return lambda: (cf, side.label())
     blocked = _infeasibility(side, budget, extended)
     if blocked:
         raise Infeasible(blocked)
-    return lambda: (_brute_ed(get_context(side.spec), jset)[0], side.label())
+    return lambda: (
+        effective_divisibility(side, "brute_force", budget=budget, extended=extended).value,
+        side.label(),
+    )
 
 
 def morphism_constancy(
@@ -497,7 +504,8 @@ def stratum(spec: DynkinSpec, jset, l: int) -> list[WeylElement]:
     degree table.
     """
     check_length(l, dimension(spec, jset))
-    size, width = stratum_size(spec, jset, l), _roots(spec)
+    width = _roots(spec)
+    size = stratum_size(spec, jset, l)
     if size * width > MAX_STRATUM_ENTRIES:
         raise Infeasible(
             f"stratum {l} of {spec} has {size} elements of width {width}, "

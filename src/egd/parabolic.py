@@ -46,8 +46,12 @@ class CodimData:
 def decompose(ctx: WeylGroupContext, w: WeylElement, jset) -> Decomposition:
     """Split w into its minimal coset representative and its W_J part."""
     jlist = sorted(ctx.spec.check_nodes(jset))
-    x, stripped = w, []
-    while (j := next((k for k in jlist if x.perm[k - 1] < 0), None)) is not None:
+    x = w
+    stripped = []
+    while True:
+        j = next((j for j in jlist if x.perm[j - 1] < 0), None)
+        if j is None:
+            break
         x = ctx.multiply(x, ctx.simple_reflections[j - 1])
         stripped.append(j)
     down = ctx.from_word(reversed(stripped))

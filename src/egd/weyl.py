@@ -283,9 +283,13 @@ class WeylGroupContext:
             return cached
         perm = list(self.identity.perm)
         ordered = sorted(self.spec.check_nodes(key))
-        while (i := next((k for k in ordered if perm[k - 1] > 0), None)) is not None:
+        while True:
+            i = next((i for i in ordered if perm[i - 1] > 0), None)
+            if i is None:
+                break
             self._times_generator(perm, i)
-        return self._longest_parabolic.setdefault(key, self._make(tuple(perm)))
+        x = self._longest_parabolic[key] = self._make(tuple(perm))
+        return x
 
     def coxeter_number(self) -> int:
         """Multiplicative order of the product of all simple reflections."""

@@ -218,6 +218,8 @@ def test_bad_workers_and_budget_rejected_before_build(capsys, monkeypatch, argv)
         ("decompose", "A200", "1", "2"),
         # bad two ways: the root count is checked before the letters
         ("decompose", "A200", "0", "1"),
+        # a length in range: the root count is checked before the stratum is counted
+        ("strata", "A200", "20000"),
     ],
 )
 def test_huge_group_refused_before_build(capsys, monkeypatch, argv):
@@ -226,9 +228,13 @@ def test_huge_group_refused_before_build(capsys, monkeypatch, argv):
     def no_build(spec):
         raise AssertionError(f"built {spec}")
 
+    def no_count(spec, jset, l):
+        raise AssertionError(f"counted stratum {l} of {spec}")
+
     built = {}
     monkeypatch.setattr(egd.engine, "_context_cache", built)
     monkeypatch.setattr(egd.engine, "build_group", no_build)
+    monkeypatch.setattr(egd.engine, "stratum_size", no_count)
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert err.startswith("infeasible: A200 has 20100 positive roots")
