@@ -9,16 +9,19 @@ computed once per element however many comparisons pass through it.  It
 is the library comparison; the degree sweep uses the coset orders below,
 and an exhaustive subword scan is kept as an independent test oracle.
 
-Strata of W^J (minimal coset representatives) live in one store per J on
-the context, by length 0..dim.  x -> x(lambda_R), lambda_R the sum of the
-fundamental weights omega_i of the nodes i outside J, maps W^J onto the
-orbit W lambda_R: its stabiliser is W_J (Humphreys, Reflection Groups and
-Coxeter Groups, 1.12).  Strata up to dim/2 grow breadth first on these
-rank-wide weights: for mu = x(lambda_R), s_j x is in W^J one level up iff
-mu_j > 0, and in x W_J iff mu_j = 0; s_j is a left descent iff mu_j < 0.
-Stratum l > dim/2 is the image of stratum dim - l under the length-reversing
-x -> w_0 x w_{0J}, of weight w_0 mu = -sigma(mu).  Root permutations are
-built only for the elements asked for, from words peeled off the weights.
+The weight layer needs no root system.  One Orbits object per spec, built
+from the Cartan matrix and sigma = -w_0 on nodes (dynkin), holds a strata
+store per J and a coset order per node; the sweep reads it directly, and
+every context of the spec reads the same one.  x -> x(lambda_R), lambda_R
+the sum of the fundamental weights omega_i of the nodes i outside J, maps
+W^J onto the orbit W lambda_R: its stabiliser is W_J (Humphreys, Reflection
+Groups and Coxeter Groups, 1.12).  Strata up to dim/2 grow breadth first
+on these rank-wide weights: for mu = x(lambda_R), s_j x is in W^J one level
+up iff mu_j > 0, and in x W_J iff mu_j = 0; s_j is a left descent iff
+mu_j < 0.  Stratum l > dim/2 is the image of stratum dim - l under the
+length-reversing x -> w_0 x w_{0J}, of weight w_0 mu = -sigma(mu).  A
+canonical word is peeled off a weight; root permutations are built only
+by quotient_stratum, one left product per element, and kept on the context.
 
 Coset orders decide the sweep's comparisons by Deodhar's criterion
 (Bjorner-Brenti, GTM 231, section 2.6): for v, u in W^J, v <= u iff
@@ -38,9 +41,11 @@ Coset orders are built only when a sweep asks for coset rows.
 
 from __future__ import annotations
 
-from .dynkin import check_length, dimension
+from functools import lru_cache
+
+from .dynkin import DynkinSpec, cartan_matrix, check_length, dimension, opposition
 from .errors import ContextMismatch, NonReducedInput
-from .weyl import WeylElement, WeylGroupContext
+from .weyl import WeylElement, WeylGroupContext, Word
 
 
 def bruhat_leq(ctx: WeylGroupContext, v: WeylElement, u: WeylElement) -> bool:
@@ -118,45 +123,28 @@ def quotient_dimension(ctx: WeylGroupContext, jset) -> int:
     return dimension(ctx.spec, jset)
 
 
-def _weight_maps(ctx: WeylGroupContext):
-    """s_j(mu) = mu - mu_j * alpha_j and w_0(mu) = -sigma(mu) on weights mu.
-
-    Weights are in fundamental-weight coordinates, alpha_j is row j of the
-    Cartan matrix, and w_0 alpha_k = -alpha_sigma(k)."""
-    alphas = [[(k, a) for k, a in enumerate(row) if a] for row in ctx.cartan]
-    sigma = [-ctx.longest_element.perm[k] - 1 for k in range(ctx.rank)]
-
-    def reflect(mu, j):
-        nu, p = list(mu), mu[j]
-        for k, a in alphas[j]:
-            nu[k] -= p * a
-        return tuple(nu)
-
-    return reflect, lambda mu: tuple([-mu[k] for k in sigma])
-
-
 class _Strata:
     """One W^J by length 0..dim, grown on the weights x(lambda_R).
 
     ``weights[l]`` (l <= dim/2) lists stratum l's weights in stratum order;
     weight k is s_j of weight b of stratum l - 1 for ``parents[l][k] = (b, j)``.
     Element k of stratum l > dim/2 is w_0 x w_{0J}, x element k of stratum
-    dim - l.  ``levels``, ``rows`` and ``masks`` (elements, coset rows and
-    per-node coset bitsets of a stratum) are filled on first use.
+    dim - l.  ``rows`` and ``masks`` (coset rows and per-node coset bitsets
+    of a stratum) are filled on first use.
     """
 
-    __slots__ = ("dim", "reflect", "antipode", "weights", "parents", "levels", "rows", "masks")
+    __slots__ = ("dim", "layer", "weights", "parents", "rows", "masks")
 
-    def __init__(self, ctx: WeylGroupContext, jset: frozenset[int], dim: int):
-        self.dim = dim
-        self.reflect, self.antipode = _weight_maps(ctx)
-        self.weights = [[tuple(int(i not in jset) for i in ctx.spec.nodes)]] + [None] * dim
+    def __init__(self, layer: "Orbits", jset: frozenset[int]):
+        self.dim = dim = dimension(layer.spec, jset)
+        self.layer = layer
+        self.weights = [[tuple(int(i not in jset) for i in layer.spec.nodes)]] + [None] * dim
         self.parents = [None] * (dim + 1)
-        self.levels, self.rows, self.masks = ([None] * (dim + 1) for _ in range(3))
+        self.rows, self.masks = [None] * (dim + 1), [None] * (dim + 1)
 
     def grow(self, l: int) -> None:
         """Grow strata up to min(l, dim - l): mu has the children s_j(mu), mu_j > 0."""
-        weights, reflect = self.weights, self.reflect
+        weights, reflect = self.weights, self.layer.reflect
         for depth in range(1, min(l, self.dim - l) + 1):
             if weights[depth] is None:  # set parents first: readers test weights
                 children: dict = {}
@@ -167,46 +155,145 @@ class _Strata:
                 self.parents[depth] = list(children.values())
                 weights[depth] = list(children)
 
-    def element(self, ctx: WeylGroupContext, l: int, k: int) -> WeylElement:
-        """Element k of stratum l, built from the canonical word of its weight."""
-        if self.levels[l] is not None:
-            return self.levels[l][k]
+    def word(self, l: int, k: int) -> Word:
+        """Canonical word of element k of stratum l, peeled off its weight; builds nothing."""
         dual = 2 * l > self.dim
         mu = self.weights[self.dim - l if dual else l][k]
-        mu = self.antipode(mu) if dual else mu
+        mu = list(self.layer.antipode(mu) if dual else mu)
+        alphas = self.layer.alphas
         word, j = [], 0
         while j < len(mu):  # peel the smallest left descent s_j: the first mu_j < 0
-            if mu[j] < 0:
+            p = mu[j]
+            if p < 0:
                 word.append(j + 1)
-                mu, j = self.reflect(mu, j), -1
-            j += 1
-        x = ctx.from_word(word)
-        x._word = tuple(word)
-        return x
+                for t, a in alphas[j]:
+                    mu[t] -= p * a
+                j = alphas[j][0][0]  # the lowest coordinate s_j changed
+            else:
+                j += 1
+        return tuple(word)
 
 
-def _grown(ctx: WeylGroupContext, jset: frozenset[int], l: int) -> _Strata:
-    """The strata store of W^J, grown for stratum l."""
-    store = ctx._strata.get(jset)
-    if store is None:
-        store = ctx._strata[jset] = _Strata(ctx, jset, quotient_dimension(ctx, jset))
-    check_length(l, store.dim)
-    store.grow(l)
-    return store
+class Orbits:
+    """The weight layer of one diagram: strata stores per J, coset orders per node.
+
+    It needs only the Cartan matrix and sigma = -w_0 on nodes (dynkin), so
+    the degree sweep runs on it without a WeylGroupContext.  There is one
+    per spec (``orbits``), which every context of that spec reads too.
+    Weights are in fundamental-weight coordinates; ``alphas[j]`` lists the
+    nonzero (k, a) of alpha_j, row j of the Cartan matrix, and
+    s_j(mu) = mu - mu_j * alpha_j.  w_0 alpha_k = -alpha_sigma(k), so
+    w_0(mu) = -sigma(mu), the ``antipode``.
+    """
+
+    __slots__ = ("spec", "alphas", "sigma", "reflect", "antipode", "strata", "coset_orders")
+
+    def __init__(self, spec: DynkinSpec):
+        self.spec = spec
+        self.alphas = alphas = [
+            [(k, a) for k, a in enumerate(row) if a] for row in cartan_matrix(spec)
+        ]
+        self.sigma = opposition(spec)
+        sigma = [k - 1 for k in self.sigma]
+
+        def reflect(mu, j):
+            nu, p = list(mu), mu[j]
+            for k, a in alphas[j]:
+                nu[k] -= p * a
+            return tuple(nu)
+
+        self.reflect = reflect
+        self.antipode = lambda mu: tuple([-mu[k] for k in sigma])
+        self.strata: dict[frozenset[int], _Strata] = {}
+        self.coset_orders: dict[int, CosetOrder] = {}
+
+    def store(self, jset: frozenset[int], l: int) -> _Strata:
+        """The strata store of W^J, grown for stratum l."""
+        store = self.strata.get(jset)
+        if store is None:
+            store = self.strata[jset] = _Strata(self, jset)
+        check_length(l, store.dim)
+        store.grow(l)
+        return store
+
+    def coset_order(self, node: int) -> "CosetOrder":
+        """The coset order of ``node``, built once per spec on first use."""
+        order = self.coset_orders.get(node)
+        if order is None:
+            order = self.coset_orders[node] = CosetOrder(self, node)
+        return order
+
+    def cosets(self, jset: frozenset[int], l: int) -> list[tuple[int, ...]]:
+        """Coset rows of stratum l of W^J, in stratum order (see quotient_cosets)."""
+        store = self.store(jset, l)
+        rows, dim = store.rows, store.dim
+        if rows[l] is None:
+            orders = [self.coset_order(i) for i in self.spec.nodes if i not in jset]
+            if 2 * l > dim:
+                dual = self.cosets(jset, dim - l)
+                rows[l] = [tuple([o.antipode[a] for o, a in zip(orders, row)]) for row in dual]
+            else:
+                acts = [[o.act[j] for o in orders] for j in range(self.spec.rank)]
+                rows[0] = rows[0] or [tuple(o.size - 1 for o in orders)]
+                for depth in range(1, l + 1):  # a grown weight takes act_j of its parent's row
+                    above = rows[depth - 1]
+                    rows[depth] = rows[depth] or [
+                        tuple([a[c] for a, c in zip(acts[j], above[b])])
+                        for b, j in store.parents[depth]
+                    ]
+        return rows[l]
+
+    def masks(self, jset: frozenset[int], l: int) -> list[int]:
+        """Per node outside J (ascending), the bitset of the cosets of stratum l."""
+        rows = self.cosets(jset, l)
+        masks = self.strata[jset].masks
+        if masks[l] is None:
+            masks[l] = [sum(1 << c for c in set(column)) for column in zip(*rows)]
+        return masks[l]
+
+
+@lru_cache(maxsize=None)
+def orbits(spec: DynkinSpec) -> Orbits:
+    """The weight layer of ``spec``, shared by the sweep and every context of spec."""
+    return Orbits(spec)
 
 
 def quotient_stratum(ctx: WeylGroupContext, jset, l: int) -> list[WeylElement]:
-    """Elements of W^J of length exactly l, in the internal deterministic order."""
-    store = _grown(ctx, frozenset(jset), l)
-    if store.levels[l] is None:
-        size = len(store.weights[min(l, store.dim - l)])
-        store.levels[l] = [store.element(ctx, l, k) for k in range(size)]
-    return store.levels[l]
+    """Elements of W^J of length exactly l, in the internal deterministic order.
 
-
-def stratum_element(ctx: WeylGroupContext, jset, l: int, k: int) -> WeylElement:
-    """Element k of quotient_stratum(ctx, jset, l), built alone."""
-    return _grown(ctx, frozenset(jset), l).element(ctx, l, k)
+    Each element is one left product from an element already built, by the
+    record (b, j) of its weight: s_j * x_b for l <= dim/2, x_b element b of
+    stratum l - 1.  Above dim/2 the element is y = w_0 x w_{0J}, x element k
+    of stratum dim - l, and w_0 s_j x w_{0J} = s_sigma(j) w_0 x w_{0J} makes
+    it s_sigma(j) * y_b, y_b element b of stratum l + 1, from the top
+    w_0 w_{0J} down.  Built strata stay on the context, which owns their
+    elements.
+    """
+    jset = frozenset(jset)
+    orbs = orbits(ctx.spec)
+    store = orbs.store(jset, l)
+    dim = store.dim
+    levels = ctx._strata.get(jset)
+    if levels is None:
+        levels = ctx._strata[jset] = [None] * (dim + 1)
+    if levels[l] is None:
+        if 2 * l > dim:
+            chain = range(dim, l - 1, -1)
+            gens = [ctx.simple_reflections[k - 1] for k in orbs.sigma]
+            top = ctx.multiply(ctx.longest_element, ctx.longest_in_parabolic(jset))
+        else:
+            chain, gens, top = range(l + 1), ctx.simple_reflections, ctx.identity
+        above = None
+        for m in chain:  # from the identity up, or from the top down, to l
+            if levels[m] is None:
+                if above is None:
+                    level = [top]
+                else:  # the records of stratum m, or of its dual dim - m
+                    records = store.parents[min(m, dim - m)]
+                    level = [ctx.multiply(gens[j], above[b]) for b, j in records]
+                levels[m] = level
+            above = levels[m]
+    return levels[l]
 
 
 class CosetOrder:
@@ -219,9 +306,9 @@ class CosetOrder:
 
     __slots__ = ("size", "act", "antipode", "up")
 
-    def __init__(self, ctx: WeylGroupContext, node: int):
-        n = ctx.rank
-        reflect, antipode = _weight_maps(ctx)
+    def __init__(self, layer: Orbits, node: int):
+        n = layer.spec.rank
+        reflect, antipode = layer.reflect, layer.antipode
         weights = [antipode(tuple(int(k == node - 1) for k in range(n)))]
         index = {weights[0]: 0}
         act = [[] for _ in range(n)]
@@ -253,11 +340,8 @@ class CosetOrder:
 
 
 def coset_order(ctx: WeylGroupContext, node: int) -> CosetOrder:
-    """The coset order of ``node``, built once per context on first use."""
-    order = ctx._coset_orders.get(node)
-    if order is None:
-        order = ctx._coset_orders[node] = CosetOrder(ctx, node)
-    return order
+    """The coset order of ``node``, built once per spec on first use."""
+    return orbits(ctx.spec).coset_order(node)
 
 
 def quotient_cosets(ctx: WeylGroupContext, jset, l: int) -> list[tuple[int, ...]]:
@@ -269,41 +353,20 @@ def quotient_cosets(ctx: WeylGroupContext, jset, l: int) -> list[tuple[int, ...]
     bit row_u[k] of that order's up[row_v[k]] is set; so the row also
     determines the element.
     """
-    jset = frozenset(jset)
-    store = _grown(ctx, jset, l)
-    rows, dim = store.rows, store.dim
-    if rows[l] is None:
-        orders = [coset_order(ctx, i) for i in ctx.spec.nodes if i not in jset]
-        if 2 * l > dim:
-            dual = quotient_cosets(ctx, jset, dim - l)
-            rows[l] = [tuple([o.antipode[a] for o, a in zip(orders, row)]) for row in dual]
-        else:
-            acts = [[o.act[j] for o in orders] for j in range(ctx.rank)]
-            rows[0] = rows[0] or [tuple(o.size - 1 for o in orders)]
-            for depth in range(1, l + 1):  # a grown weight takes act_j of its parent's row
-                above = rows[depth - 1]
-                rows[depth] = rows[depth] or [
-                    tuple([a[c] for a, c in zip(acts[j], above[b])])
-                    for b, j in store.parents[depth]
-                ]
-    return rows[l]
-
-
-def coset_masks(ctx: WeylGroupContext, jset, l: int) -> list[int]:
-    """Per node outside J (ascending), the bitset of the cosets of stratum l."""
-    jset = frozenset(jset)
-    rows = quotient_cosets(ctx, jset, l)
-    masks = ctx._strata[jset].masks
-    if masks[l] is None:
-        masks[l] = [sum(1 << c for c in set(column)) for column in zip(*rows)]
-    return masks[l]
+    return orbits(ctx.spec).cosets(frozenset(jset), l)
 
 
 def elements_of_length(ctx: WeylGroupContext, l: int) -> list[WeylElement]:
     """All elements of length exactly l, sorted by canonical word."""
-    return sorted(quotient_stratum(ctx, frozenset(), l), key=lambda e: e.word())
+    return quotient_elements_of_length(ctx, frozenset(), l)
 
 
 def quotient_elements_of_length(ctx: WeylGroupContext, jset, l: int) -> list[WeylElement]:
-    """Elements of W^J of length exactly l, sorted by canonical word."""
-    return sorted(quotient_stratum(ctx, frozenset(jset), l), key=lambda e: e.word())
+    """Elements of W^J of length exactly l, sorted by canonical word peeled off the weights."""
+    jset = frozenset(jset)
+    stratum = quotient_stratum(ctx, jset, l)
+    store = orbits(ctx.spec).strata[jset]
+    for k, x in enumerate(stratum):
+        if x._word is None:
+            x._word = store.word(l, k)
+    return sorted(stratum, key=WeylElement.word)

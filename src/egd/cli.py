@@ -46,8 +46,8 @@ def _check_common(args) -> None:
 def _pair_line(k: int, pair: MdPair, classify: bool) -> str:
     line = (
         f"{k}) l(v)= {pair.len_v} c(u)= {pair.codim_u} "
-        f"v=[{','.join(map(str, pair.v.word()))}] "
-        f"u=[{','.join(map(str, pair.u.word()))}]"
+        f"v=[{','.join(map(str, pair.word_v))}] "
+        f"u=[{','.join(map(str, pair.word_u))}]"
     )
     if classify:
         line += " tags={" + ",".join(map(str, sorted(pair.tags))) + "}"
@@ -125,7 +125,7 @@ def cmd_decompose(args) -> int:
     jset = spec.parse_nodes(args.parabolic)
     w = element_of_word(spec, args.word)
     dec = decompose(w.ctx, w, jset)
-    cd = codims(w.ctx, w, jset)
+    cd = codims(w.ctx, w, jset, dec)
     up_word = format_word(dec.up.word()) if dec.up.length else ""
     down_word = format_word(dec.down.word()) if dec.down.length else ""
     if args.json:

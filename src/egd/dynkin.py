@@ -161,6 +161,24 @@ def cartan_matrix(spec: DynkinSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in cart)
 
 
+def opposition(spec: DynkinSpec) -> tuple[int, ...]:
+    """sigma = -w_0 on nodes: w_0 alpha_k = -alpha_sigma(k), ``sigma[k - 1]`` for node k.
+
+    A_n reverses the chain, D_n with n odd swaps n-1 and n, E6 swaps 1, 6
+    and 3, 5; w_0 = -1 on every other irreducible type (Humphreys, Reflection
+    Groups and Coxeter Groups, 1.12; Bourbaki, Lie Groups, Plates I-IX).
+    """
+    n, fam = spec.rank, spec.family
+    sigma = list(spec.nodes)
+    if fam == "A":
+        sigma.reverse()
+    elif fam == "D" and n % 2:
+        sigma[n - 2], sigma[n - 1] = n, n - 1
+    elif fam == "E" and n == 6:
+        sigma = [6, 2, 5, 4, 3, 1]
+    return tuple(sigma)
+
+
 def _type_degrees(family: str, k: int) -> tuple[int, ...]:
     """Degrees of the irreducible Weyl group of type family_k."""
     if family == "A":
@@ -194,17 +212,28 @@ def degrees(spec: DynkinSpec, subset=None) -> tuple[int, ...]:
 def _degrees(spec: DynkinSpec, nodes: frozenset[int]) -> tuple[int, ...]:
     spec.check_nodes(nodes)
     inner = [(i, j, m) for i, j, m in bonds(spec) if i in nodes and j in nodes]
-    out, todo = (), set(nodes)
-    while todo:
-        comp, queue = set(), [min(todo)]
-        while queue:
-            v = queue.pop()
-            if v not in comp:
-                comp.add(v)
-                queue += [i + j - v for i, j, _ in inner if v in (i, j)]
-        todo -= comp
-        out += _type_degrees(*_component_type(spec, comp, [b for b in inner if b[0] in comp]))
-    return out
+    adjacent: dict[int, list[int]] = {v: [] for v in nodes}
+    for i, j, _ in inner:
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    owner: dict[int, int] = {}  # node -> lowest node of its component
+    comps: dict[int, list[int]] = {}
+    for root in sorted(nodes):
+        if root not in owner:
+            owner[root], queue = root, [root]
+            for v in queue:  # grows while read
+                for w in adjacent[v]:
+                    if w not in owner:
+                        owner[w] = root
+                        queue.append(w)
+            comps[root] = queue
+    comp_bonds: dict[int, list] = {root: [] for root in comps}
+    for bond in inner:
+        comp_bonds[owner[bond[0]]].append(bond)
+    out: list[int] = []
+    for root, comp in comps.items():
+        out += _type_degrees(*_component_type(spec, set(comp), comp_bonds[root]))
+    return tuple(out)
 
 
 def dimension(spec: DynkinSpec, parabolic_set) -> int:

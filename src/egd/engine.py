@@ -17,11 +17,14 @@ in W^J iff P_i(v) <= P_i(u) in the maximal quotient W^{S - {i}} for
 every marked node i.  Each v of a degree bucket costs one bitset AND per
 marked node against the cosets of the u-stratum, and the u of a
 violation are decoded only where a v fails.  The strata are weights and
-coset rows, so only the v and u of violating pairs are built as group
-elements.  A marked node whose maximal quotient exceeds MAX_COSETS gets
-no coset order: such a marked set is compared pair by pair with
-bruhat_leq on whole strata of elements, and its full sweep is refused
-before anything is built when no closed form bounds where it stops.
+coset rows (bruhat.orbits, one per spec) and a listed pair holds the
+canonical words of v and u, peeled off their weights, so the sweep
+builds no root system: a WeylGroupContext is built only to classify
+pairs, for MdPair.u and MdPair.v, and for the pair-by-pair path.  A
+marked node whose maximal quotient exceeds MAX_COSETS gets no coset
+order: such a marked set is compared pair by pair with bruhat_leq on
+whole strata of elements, and its full sweep is refused before anything
+is built when no closed form bounds where it stops.
 
 Admission: every refusal is decided before any context is built, from the
 spec and the degree table alone.  dynkin checks node ranges, letters and
@@ -42,13 +45,10 @@ from functools import lru_cache
 
 from .bruhat import (
     bruhat_leq,
-    coset_masks,
-    coset_order,
-    quotient_cosets,
+    orbits,
     quotient_dimension,
     quotient_elements_of_length,
     quotient_stratum,
-    stratum_element,
 )
 from .dynkin import (
     DynkinSpec,
@@ -68,7 +68,7 @@ from .parabolic import (
     longest_in_WJ,
     require_type_d,
 )
-from .weyl import WeylElement, WeylGroupContext, build_group, parse_word
+from .weyl import WeylElement, WeylGroupContext, Word, build_group, parse_word
 
 DEFAULT_BUDGET = 10**6
 # Largest group built: A100 (5,050 positive roots) builds in about 0.3 s,
@@ -138,19 +138,32 @@ class MarkedDiagram:
 
 @dataclass(frozen=True)
 class MdPair:
-    """A violating pair at some degree: v not<= u with l(v) + c^J(u) = degree."""
+    """A violating pair at some degree: v not<= u with l(v) + c^J(u) = degree.
 
-    u: WeylElement
-    v: WeylElement
+    The pair holds the canonical words of v and u; ``v`` and ``u`` build
+    the elements in the shared context of ``spec`` when asked for.
+    """
+
+    spec: DynkinSpec
+    word_v: Word
+    word_u: Word
     len_v: int
     codim_u: int
     degree: int
     tags: frozenset[int] = frozenset()
 
+    @property
+    def v(self) -> WeylElement:
+        return get_context(self.spec).from_word(self.word_v)
+
+    @property
+    def u(self) -> WeylElement:
+        return get_context(self.spec).from_word(self.word_u)
+
     def record(self) -> dict:
         return {
-            "v": ",".join(map(str, self.v.word())),
-            "u": ",".join(map(str, self.u.word())),
+            "v": ",".join(map(str, self.word_v)),
+            "u": ",".join(map(str, self.word_u)),
             "len_v": self.len_v,
             "codim_u": self.codim_u,
             "tags": sorted(self.tags),
@@ -246,9 +259,9 @@ def _misses(row, masks, ups) -> list[int]:
 
 
 def _sweep_degree(
-    ctx: WeylGroupContext, jset: frozenset[int], s: int
-) -> list[tuple[WeylElement, WeylElement]]:
-    """Violating pairs (v, u) at degree s with 0 < l(v) <= c^J(u).
+    spec: DynkinSpec, jset: frozenset[int], s: int
+) -> list[tuple[int, Word, Word]]:
+    """(l(v), word of v, word of u) of each violating pair at degree s, 0 < l(v) <= c^J(u).
 
     x -> w_0 x w_{0J} reverses the Bruhat order on W^J and swaps l(v) with
     c^J(u), so (v, u) violates iff (w_0 u w_{0J}, w_0 v w_{0J}) does: the
@@ -256,33 +269,37 @@ def _sweep_degree(
     for every J.  By Deodhar's criterion v <= u iff P_i(v) <= P_i(u) for
     every marked node i, so each v is decided by one AND per marked node
     against the bitset of the u-stratum's cosets (_misses); the u of a
-    violated v are decoded from the missed cosets, and only those v and u
-    are built.  A marked set with a node over MAX_COSETS is compared pair
-    by pair with bruhat_leq instead.  Pairs come in bucket order: l(v)
-    ascending, then stratum order of v and of u.
+    violated v are decoded from the missed cosets, and their canonical
+    words are peeled off the weights: no group element is built.  A marked
+    set with a node over MAX_COSETS is compared pair by pair with
+    bruhat_leq in the shared context instead.  Pairs come in bucket order:
+    l(v) ascending, then stratum order of v and of u.
     """
-    dim = quotient_dimension(ctx, jset)
-    if _oversize_cosets(ctx.spec, jset):
+    dim = dimension(spec, jset)
+    if _oversize_cosets(spec, jset):
+        ctx = get_context(spec)
         return [
-            (v, u)
+            (len_v, v.word(), u.word())
             for len_v in range(max(1, s - dim), s // 2 + 1)
             for v in quotient_stratum(ctx, jset, len_v)
             for u in quotient_stratum(ctx, jset, dim - (s - len_v))
             if not bruhat_leq(ctx, v, u)
         ]
-    ups = [coset_order(ctx, i).up for i in ctx.spec.nodes if i not in jset]
-    out: list[tuple[WeylElement, WeylElement]] = []
+    orbs = orbits(spec)
+    ups = [orbs.coset_order(i).up for i in spec.nodes if i not in jset]
+    out: list[tuple[int, Word, Word]] = []
     for len_v in range(max(1, s - dim), s // 2 + 1):
         len_u = dim - (s - len_v)
-        masks = coset_masks(ctx, jset, len_u)
+        masks = orbs.masks(jset, len_u)
         holders = None  # per marked node: coset -> indices of the u in it
-        for k_v, row in enumerate(quotient_cosets(ctx, jset, len_v)):
+        words_u: dict[int, Word] = {}
+        for k_v, row in enumerate(orbs.cosets(jset, len_v)):
             misses = _misses(row, masks, ups)
             if not any(misses):
                 continue
             if holders is None:
                 holders = [{} for _ in ups]
-                for k, u_row in enumerate(quotient_cosets(ctx, jset, len_u)):
+                for k, u_row in enumerate(orbs.cosets(jset, len_u)):
                     for held, c in zip(holders, u_row):
                         held.setdefault(c, []).append(k)
             hit = set()
@@ -291,8 +308,12 @@ def _sweep_degree(
                     low = miss & -miss
                     hit.update(held[low.bit_length() - 1])
                     miss ^= low
-            v = stratum_element(ctx, jset, len_v, k_v)
-            out.extend((v, stratum_element(ctx, jset, len_u, k)) for k in sorted(hit))
+            store = orbs.strata[jset]
+            word_v = store.word(len_v, k_v)
+            for k in sorted(hit):
+                if k not in words_u:
+                    words_u[k] = store.word(len_u, k)
+                out.append((len_v, word_v, words_u[k]))
     return out
 
 
@@ -308,31 +329,27 @@ def has_egd_up_to(ctx: WeylGroupContext, jset, s: int) -> bool:
     dim = quotient_dimension(ctx, jset)
     if s < 0 or s > dim:
         raise DegreeOutOfRange(f"degree {s} outside 0..{dim}")
-    return not _sweep_degree(ctx, jset, s)
+    return not _sweep_degree(ctx.spec, jset, s)
 
 
-def _listing(ctx: WeylGroupContext, jset: frozenset[int], degree: int) -> list[MdPair]:
+def _listing(spec: DynkinSpec, jset: frozenset[int], degree: int) -> list[MdPair]:
     """Violating pairs at a degree with 0 < l(v) <= c^J(u), deterministically sorted."""
-    hits = _sweep_degree(ctx, jset, degree)
-    hits.sort(key=lambda pair: (pair[0].length, pair[0].word(), pair[1].word()))
     return [
-        MdPair(u=u, v=v, len_v=v.length, codim_u=degree - v.length, degree=degree)
-        for v, u in hits
+        MdPair(spec, word_v, word_u, len_v=len_v, codim_u=degree - len_v, degree=degree)
+        for len_v, word_v, word_u in sorted(_sweep_degree(spec, jset, degree))
     ]
 
 
-def _brute_ed(
-    ctx: WeylGroupContext, jset: frozenset[int]
-) -> tuple[int, bool, list[MdPair]]:
+def _brute_ed(spec: DynkinSpec, jset: frozenset[int]) -> tuple[int, bool, list[MdPair]]:
     """Sweep degrees 1..dim + 1 once each, up to the first failing degree s.
 
     Returns (s - 1, whether s = dim + 1, the sorted violating pairs of
     degree s).  Degree dim + 1 always fails (l(v) = l(u) + 1), so for
     dim >= 1 the listing is never empty.
     """
-    dim = quotient_dimension(ctx, jset)
+    dim = dimension(spec, jset)
     for s in range(1, dim + 2):
-        pairs = _listing(ctx, jset, s)
+        pairs = _listing(spec, jset, s)
         if pairs:
             break
     return s - 1, s > dim, pairs
@@ -370,8 +387,8 @@ def effective_divisibility(
     if blocked:
         return EdResult(cf, "closed_form", None, cf, None, False)
 
-    ctx = get_context(md.spec)
-    bf, capped, pairs = _brute_ed(ctx, jset)
+    _roots(md.spec)  # get_context's refusal, though the sweep builds no context
+    bf, capped, pairs = _brute_ed(md.spec, jset)
     witness = pairs[0]
 
     if mode == "brute_force" or cf is None:
@@ -409,10 +426,9 @@ def md_pairs(
         raise DegreeOutOfRange(f"degree {degree} outside 0..{dim + 1}")
     if classify:
         require_type_d(md.spec)
-    ctx = get_context(md.spec)
-    pairs = _brute_ed(ctx, jset)[2] if degree is None else _listing(ctx, jset, degree)
+    pairs = _brute_ed(md.spec, jset)[2] if degree is None else _listing(md.spec, jset, degree)
     if classify:
-        pairs = classify_md_pairs(ctx, pairs, jset=jset)
+        pairs = classify_md_pairs(get_context(md.spec), pairs, jset=jset)
     return pairs
 
 
@@ -435,8 +451,8 @@ def classify_md_pairs(
     middle = {dist.w_alpha, dist.w_beta}
     out = []
     for pair in pairs:
-        u = ctx.multiply(pair.u, w0j)
-        v = pair.v
+        u = ctx.multiply(ctx.from_word(pair.word_u), w0j)
+        v = ctx.from_word(pair.word_v)
         tags = set()
         if {decompose(ctx, v, quadric_j).up, decompose(ctx, u, quadric_j).up} == middle:
             tags.add(1)

@@ -68,9 +68,15 @@ def longest_in_quotient(ctx: WeylGroupContext, jset) -> WeylElement:
     return decompose(ctx, ctx.longest_element, jset).up
 
 
-def codims(ctx: WeylGroupContext, u: WeylElement, jset) -> CodimData:
-    """c^J, c_J and c of u; l(w_0^J) = N - N_J and l(w_{0J}) = N_J are counted, not built."""
-    dec = decompose(ctx, u, jset)
+def codims(
+    ctx: WeylGroupContext, u: WeylElement, jset, dec: Decomposition | None = None
+) -> CodimData:
+    """c^J, c_J and c of u; l(w_0^J) = N - N_J and l(w_{0J}) = N_J are counted, not built.
+
+    ``dec`` is decompose(ctx, u, jset) when the caller already holds it.
+    """
+    if dec is None:
+        dec = decompose(ctx, u, jset)
     return CodimData(
         cJ_up=dimension(ctx.spec, jset) - dec.up.length,
         cJ_down=num_positive_roots(ctx.spec, jset) - dec.down.length,

@@ -136,10 +136,9 @@ class WeylGroupContext:
         self._tables = [ident] + [list(map(ident.__getitem__, _table(s.perm))) for s in gens]
         # keyed by (v.id << 32) | u.id (ids stay below 2**32), see bruhat_leq
         self.bruhat_cache: dict[int, bool] = {}
-        # J -> the strata store of W^J (bruhat.quotient_stratum)
-        self._strata: dict[frozenset[int], object] = {}
-        # node i -> the Bruhat order on W^{S - {i}} (bruhat.coset_order)
-        self._coset_orders: dict[int, object] = {}
+        # J -> stratum l of W^J as elements at [l], None until built; the
+        # weights and coset orders are per spec (bruhat.quotient_stratum)
+        self._strata: dict[frozenset[int], list] = {}
         self._longest_parabolic: dict[frozenset[int], WeylElement] = {}
         self.longest_element = self.longest_in_parabolic(frozenset(spec.nodes))
         if self.longest_element.length != self.num_positive_roots:

@@ -244,7 +244,7 @@ def test_criterion_7_property_suites():
                 ed_of[jset] = (
                     float("inf")
                     if jset == frozenset(spec.nodes)
-                    else _brute_ed(ctx, jset)[0]
+                    else _brute_ed(spec, jset)[0]
                 )
         for j1, e1 in ed_of.items():
             for j2, e2 in ed_of.items():

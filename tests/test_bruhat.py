@@ -27,7 +27,7 @@ from egd import (
     quotient_elements_of_length,
     subword_oracle,
 )
-from egd.bruhat import _grown, coset_order, quotient_cosets, quotient_stratum
+from egd.bruhat import coset_order, orbits, quotient_cosets, quotient_stratum
 from egd.dynkin import bonds, num_positive_roots, quotient_size, stratum_size
 from egd.errors import ContextMismatch, LengthOutOfRange, NonReducedInput
 
@@ -214,7 +214,8 @@ def test_sweep_computes_each_left_product_once(monkeypatch):
     listing = egd.engine.md_pairs(md)
     assert listing and listing[0] == result.witness
     assert calls["multiply"] == 0
-    assert 0 < ed_calls["from_word"] <= 2 * len(listing)
+    # the pairs hold words peeled off the weights: no element is built
+    assert ed_calls["from_word"] == 0
     assert sweeps == Counter(range(1, 9))
     assert len(tests) > 0
     assert max(tests.values()) == 1
@@ -429,7 +430,7 @@ def _orbit_level_sizes(diagram, cap=None):
         for jset in map(frozenset, itertools.combinations(spec.nodes, k)):
             if cap is None or quotient_size(spec, jset) <= cap:
                 dim = quotient_dimension(ctx, jset)
-                store = _grown(ctx, jset, dim // 2)
+                store = orbits(spec).store(jset, dim // 2)
                 yield spec, jset, [len(store.weights[min(l, dim - l)]) for l in range(dim + 1)]
     assert len(ctx._intern) == interned
 
@@ -482,11 +483,11 @@ def test_dimensions_counted_not_built():
      ("E6", 64 if EXTENDED else 27)],
 )
 def test_orbit_strata_rederived_from_perms(diagram, sets):
-    # second derivation of the weight-orbit strata: each element is built
-    # from a word read off its weight, so recompute the canonical word, the
-    # length and the right descents from the root permutation instead.
-    # Tier-1 skips the E6 quotients over 2,200 elements (about 20 s in all);
-    # EGD_EXTENDED=1 runs every J
+    # second derivation of the weight-orbit strata: each element is one left
+    # product from its record and its canonical word is peeled off its
+    # weight, so recompute the word, the length and the right descents from
+    # the root permutation instead.  Tier-1 skips the E6 quotients over 2,200
+    # elements (about 13 s in all); EGD_EXTENDED=1 runs every J
     spec = DynkinSpec.parse(diagram)
     ctx = build_group(spec)  # fresh: every element is built by the strata
     checked = 0
@@ -497,9 +498,10 @@ def test_orbit_strata_rederived_from_perms(diagram, sets):
             checked += 1
             for l in range(quotient_dimension(ctx, jset) + 1):
                 stratum = quotient_stratum(ctx, jset, l)
+                store = orbits(spec).store(jset, l)
                 assert len(set(stratum)) == len(stratum), (sorted(jset), l)
-                for x in stratum:
-                    assert x.word() == ctx.canonical_word(x), (sorted(jset), l)
+                for i, x in enumerate(stratum):
+                    assert store.word(l, i) == ctx.canonical_word(x), (sorted(jset), l)
                     assert x.length == l
                     assert not ctx.descents(x) & jset
     assert checked == sets

@@ -297,7 +297,8 @@ def test_coset_limit_refuses_only_sweeps_without_closed_form():
 def test_oversize_classical_quotient_swept_pair_by_pair(capsys):
     # node 10 of A19 has C(20, 10) = 184,756 cosets: no coset order is
     # built, and brute force still runs and agrees with the closed form
-    from egd import DynkinSpec, get_context
+    from egd import DynkinSpec
+    from egd.bruhat import orbits
 
     code, out, _ = run(capsys, "ed", "A19", "10")
     assert code == 0
@@ -310,7 +311,102 @@ def test_oversize_classical_quotient_swept_pair_by_pair(capsys):
         "brute_force = 19",
     ]
     assert lines[5].startswith("witness: l(v)= 10 c(u)= 10 v=[1,2,3,4,5,6,7,8,9,10] u=[11,10,")
-    assert get_context(DynkinSpec.parse("A19"))._coset_orders == {}
+    assert orbits(DynkinSpec.parse("A19")).coset_orders == {}
+
+
+# stdout of commands answered on weights alone, recorded from this program
+SWEEPS_WITHOUT_CONTEXT = {
+    ("ed", "A50", "1"): (
+        "ed A50(1) mode=both\ned = 50\nmethod = both\nclosed_form = 50\n"
+        "brute_force = 50\ncapped at the dimension\nwitness: l(v)= 1 c(u)= 50 v=[1] u=[]\n"
+    ),
+    ("ed", "E8", "1", "--mode", "brute"): (
+        "ed E8(1) mode=brute_force\ned = 46\nmethod = brute_force\nbrute_force = 46\n"
+        "witness: l(v)= 18 c(u)= 29 v=[8,7,6,5,4,2,3,1,4,3,5,4,2,6,5,4,3,1] "
+        "u=[2,4,3,1,5,4,2,3,4,5,6,5,4,2,3,1,4,3,5,4,2,7,6,5,4,2,3,1,4,3,5,4,2,6,5,4,3,"
+        "7,6,5,4,2,8,7,6,5,4,3,1]\n"
+    ),
+    ("ed", "D6", "all"): (
+        "ed D6(1,2,3,4,5,6) mode=both\ned = 9\nmethod = both\nclosed_form = 9\n"
+        "brute_force = 9\nwitness: l(v)= 5 c(u)= 5 v=[1,2,3,4,5] "
+        "u=[2,3,2,4,3,2,5,4,3,2,6,4,3,2,1,5,4,3,2,6,4,3,5,4,6]\n"
+    ),
+    ("mdpairs", "D4", "all"): (
+        "mdpairs D4(1,2,3,4) degree=6\n"
+        "1) l(v)= 3 c(u)= 3 v=[1,2,3] u=[2,3,2,4,2,1,3,2,4]\n"
+        "2) l(v)= 3 c(u)= 3 v=[1,2,4] u=[2,3,2,1,4,2,1,3,2]\n"
+        "3) l(v)= 3 c(u)= 3 v=[3,2,1] u=[1,2,1,4,2,1,3,2,4]\n"
+        "4) l(v)= 3 c(u)= 3 v=[3,2,4] u=[1,2,1,3,4,2,1,3,2]\n"
+        "5) l(v)= 3 c(u)= 3 v=[4,2,1] u=[1,2,1,3,2,1,4,2,3]\n"
+        "6) l(v)= 3 c(u)= 3 v=[4,2,3] u=[1,2,1,3,2,1,4,2,1]\n"
+        "total 6\n"
+    ),
+    ("morphism", "A4:1", "A3:2"): (
+        "morphism A4(1) -> A3(2)\nverdict: constant\ned(A4(1)) = 4 > ed(A3(2)) = 3\n"
+        "subdiagram rule: the target diagram is a proper subdiagram of the source\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(SWEEPS_WITHOUT_CONTEXT), ids=" ".join)
+def test_sweeps_build_no_root_system(capsys, monkeypatch, argv):
+    # the coset sweep reads weights, coset orders and words peeled off the
+    # weights: the listed words need no WeylGroupContext
+    import egd.engine
+
+    def no_build(spec):
+        raise AssertionError(f"built {spec}")
+
+    built = {}
+    monkeypatch.setattr(egd.engine, "_context_cache", built)
+    monkeypatch.setattr(egd.engine, "build_group", no_build)
+    assert run(capsys, *argv) == (0, SWEEPS_WITHOUT_CONTEXT[argv], "")
+    assert built == {}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mdpairs", "D5", "all", "--classify"),
+        ("decompose", "D5", "4,3,5,2,3,4,1,2,3,5,1,2,3,1,2,1", "2,3,4,5"),
+        ("strata", "D4", "3", "2,3,4"),
+        # node 10 of A19 is over MAX_COSETS: the pair-by-pair path
+        ("ed", "A19", "10"),
+    ],
+    ids=" ".join,
+)
+def test_element_commands_build_one_context(capsys, monkeypatch, argv):
+    import egd.engine
+    from egd import DynkinSpec
+
+    build, builds = egd.engine.build_group, []
+
+    def counting_build(spec):
+        builds.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(egd.engine, "_context_cache", {})
+    monkeypatch.setattr(egd.engine, "build_group", counting_build)
+    assert run(capsys, *argv)[0] == 0
+    assert builds == [DynkinSpec.parse(argv[1])]
+
+
+def test_decompose_command_decomposes_once(capsys, monkeypatch):
+    # codims takes the decomposition the command already holds
+    import egd.cli
+    import egd.parabolic
+
+    decompose, calls = egd.parabolic.decompose, []
+
+    def counting_decompose(*args):
+        calls.append(args)
+        return decompose(*args)
+
+    for module in (egd.parabolic, egd.cli):
+        monkeypatch.setattr(module, "decompose", counting_decompose)
+    code, out, _ = run(capsys, "decompose", "D5", "4,3,5,2,3,4,1,2,3,5,1,2,3,1,2,1", "2,3,4,5")
+    assert code == 0 and out.splitlines()[3] == "c^J(u)=1  c_J(u)=3  c(u)=4"
+    assert len(calls) == 1
 
 
 def test_root_limit_admits_the_largest_benchmarked_groups():

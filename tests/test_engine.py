@@ -20,8 +20,8 @@ from egd import (
     morphism_constancy,
     quotient_dimension,
 )
-from egd.bruhat import quotient_stratum
-from egd.dynkin import quotient_size
+from egd.bruhat import orbits, quotient_stratum
+from egd.dynkin import dimension, quotient_size
 from egd.engine import _brute_ed, _sweep_degree
 from egd.errors import (
     DegreeOutOfRange,
@@ -30,7 +30,6 @@ from egd.errors import (
     Infeasible,
     NotTypeD,
 )
-from egd.weyl import build_group
 
 EXTENDED = bool(os.environ.get("EGD_EXTENDED"))
 
@@ -100,37 +99,34 @@ def test_has_egd_compares_oversize_quotient_pair_by_pair():
     # bruhat_leq, without building its coset order
     ctx = get_context(DynkinSpec("E", 8))
     assert has_egd_up_to(ctx, frozenset(ctx.spec.nodes) - {4}, 2)
-    assert 4 not in ctx._coset_orders
+    assert 4 not in orbits(ctx.spec).coset_orders
     assert has_egd_up_to(ctx, frozenset(ctx.spec.nodes) - {1}, 1)
-    assert 1 in ctx._coset_orders
+    assert 1 in orbits(ctx.spec).coset_orders
 
 
 def test_pair_by_pair_sweep_matches_coset_orders(monkeypatch):
     # both sides of the MAX_COSETS selection on the same inputs: a limit of
     # 0 sends every marked set to the pair-by-pair path of a fresh context
+    # and a fresh weight layer
     import egd.engine
 
     cases = [("D4", ()), ("D4", (2,)), ("B3", (1,)), ("G2", ()), ("A3", (1, 3))]
     expected = {}
     for diagram, jset in cases:
-        ctx = get_context(DynkinSpec.parse(diagram))
-        jset = frozenset(jset)
+        spec, jset = DynkinSpec.parse(diagram), frozenset(jset)
         expected[diagram, jset] = [
-            [(v.word(), u.word()) for v, u in _sweep_degree(ctx, jset, s)]
-            for s in range(1, quotient_dimension(ctx, jset) + 2)
+            _sweep_degree(spec, jset, s) for s in range(1, dimension(spec, jset) + 2)
         ]
     monkeypatch.setattr(egd.engine, "MAX_COSETS", 0)
+    monkeypatch.setattr(egd.engine, "_context_cache", {})
     egd.engine._oversize_cosets.cache_clear()
+    orbits.cache_clear()
     try:
         for diagram, jset in cases:
-            ctx = build_group(DynkinSpec.parse(diagram))
-            jset = frozenset(jset)
-            got = [
-                [(v.word(), u.word()) for v, u in _sweep_degree(ctx, jset, s)]
-                for s in range(1, quotient_dimension(ctx, jset) + 2)
-            ]
+            spec, jset = DynkinSpec.parse(diagram), frozenset(jset)
+            got = [_sweep_degree(spec, jset, s) for s in range(1, dimension(spec, jset) + 2)]
             assert got == expected[diagram, jset], (diagram, jset)
-            assert ctx._coset_orders == {}
+            assert orbits(spec).coset_orders == {}
     finally:
         egd.engine._oversize_cosets.cache_clear()
 
@@ -301,7 +297,7 @@ def test_corollary_monotonicity_d4():
         for jset in itertools.combinations(spec.nodes, k):
             jset = frozenset(jset)
             ed_of[jset] = (
-                float("inf") if jset == frozenset(spec.nodes) else _brute_ed(ctx, jset)[0]
+                float("inf") if jset == frozenset(spec.nodes) else _brute_ed(spec, jset)[0]
             )
     for j1, e1 in ed_of.items():
         for j2, e2 in ed_of.items():
@@ -356,7 +352,7 @@ def test_halved_sweep_is_complete():
                 dual = lambda x: ctx.multiply(ctx.multiply(w0, x), w0j)  # noqa: E731
                 dim = quotient_dimension(ctx, jset)
                 for s in range(1, dim + 2):
-                    half = _sweep_degree(ctx, jset, s)
+                    half = _elements(ctx, _sweep_degree(spec, jset, s))
                     assert all(v.length <= s - v.length for v, _ in half)
                     full = _full_violations(ctx, jset, s)
                     assert set(half) | {(dual(u), dual(v)) for v, u in half} == full
@@ -365,12 +361,20 @@ def test_halved_sweep_is_complete():
     assert checked == 116
 
 
+def _elements(ctx, hits):
+    """The (v, u) of sweep hits (l(v), word of v, word of u), built from the words."""
+    pairs = [(ctx.from_word(wv), ctx.from_word(wu)) for _, wv, wu in hits]
+    assert [v.length for v, _ in pairs] == [len_v for len_v, _, _ in hits]
+    return pairs
+
+
 def _half_violations(ctx, jset, s):
     """Reference for _sweep_degree: the same half of the pairs, in the same
-    bucket order, compared with the descent recursion."""
+    bucket order, compared with the descent recursion, with canonical words
+    read off the root permutations."""
     dim = quotient_dimension(ctx, jset)
     return [
-        (v, u)
+        (v.length, v.word(), u.word())
         for len_v in range(max(1, s - dim), s // 2 + 1)
         for v in quotient_stratum(ctx, jset, len_v)
         for u in quotient_stratum(ctx, jset, dim - (s - len_v))
@@ -394,7 +398,7 @@ def test_sweep_matches_recursion_at_every_degree():
                     continue
                 checked += 1
                 for s in range(1, quotient_dimension(ctx, jset) + 2):
-                    hits = _sweep_degree(ctx, jset, s)
+                    hits = _sweep_degree(spec, jset, s)
                     assert hits == _half_violations(ctx, jset, s), (diagram, marked, s)
                     violations += len(hits)
     assert checked == (116 if EXTENDED else 88)

@@ -15,7 +15,7 @@ from egd import (
     parse_word,
     format_word,
 )
-from egd.dynkin import cartan_matrix, degrees
+from egd.dynkin import cartan_matrix, degrees, opposition
 from egd.errors import BadLetter, ContextMismatch, InvalidRank
 from test_bruhat import spec_and_words
 
@@ -380,17 +380,23 @@ def test_context_tables_match_dense_reference(spec):
     assert ctx.longest_element.perm == w0
 
 
-def opposition(spec):
-    """The diagram automorphism -w0 induces on the nodes, 0-based, as a list."""
-    n = spec.rank
-    nodes = list(range(n))
-    if spec.family == "A":
-        return nodes[::-1]
-    if spec.family == "D" and n % 2:
-        return nodes[:-2] + [n - 1, n - 2]
-    if spec.family == "E" and n == 6:
-        return [5, 1, 4, 3, 2, 0]  # 1 <-> 6, 3 <-> 5 (Bourbaki labels)
-    return nodes
+OPPOSITION_SPECS = (
+    [DynkinSpec("A", n) for n in range(1, 10)]
+    + [DynkinSpec(family, n) for family in "BC" for n in range(2, 10)]
+    + [DynkinSpec("D", n) for n in range(4, 10)]
+    + [DynkinSpec("E", n) for n in (6, 7, 8)]
+    + [DynkinSpec("F", 4), DynkinSpec("G", 2)]
+)
+
+
+@pytest.mark.parametrize("spec", OPPOSITION_SPECS, ids=str)
+def test_opposition_table_matches_longest_element(spec):
+    # sigma, a table by type that the sweep reads, against -w_0 on the
+    # simple roots of the built longest element
+    ctx = get_context(spec)
+    assert [k - 1 for k in opposition(spec)] == [
+        -ctx.longest_element.perm[k] - 1 for k in range(spec.rank)
+    ]
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
@@ -398,7 +404,7 @@ def test_longest_element_closed_form(spec):
     """w0 = -iota, iota the opposition involution of the diagram."""
     ctx = build_group(spec)
     w0 = ctx.longest_element.perm
-    iota = opposition(spec)
+    iota = [k - 1 for k in opposition(spec)]
     if iota == list(range(spec.rank)):  # B, C, D even, E7, E8, F4, G2: w0 = -1
         assert w0 == tuple(range(-1, -ctx.num_positive_roots - 1, -1))
     if spec.family == "A":  # w0 sends alpha_i to -alpha_{n+1-i}
