@@ -20,8 +20,10 @@ on these rank-wide weights: for mu = x(lambda_R), s_j x is in W^J one level
 up iff mu_j > 0, and in x W_J iff mu_j = 0; s_j is a left descent iff
 mu_j < 0.  Stratum l > dim/2 is the image of stratum dim - l under the
 length-reversing x -> w_0 x w_{0J}, of weight w_0 mu = -sigma(mu).  A
-canonical word is peeled off a weight; root permutations are built only
-by quotient_stratum, one left product per element, and kept on the context.
+canonical word is peeled off a weight (Orbits.peel), and the projection
+P_r(x) of a word to the maximal quotient W^{S - {r}} is peeled off
+x(omega_r) (Orbits.projection); root permutations are built only by
+quotient_stratum, one left product per element, and kept on the context.
 
 Coset orders decide the sweep's comparisons by Deodhar's criterion
 (Bjorner-Brenti, GTM 231, section 2.6): for v, u in W^J, v <= u iff
@@ -159,19 +161,7 @@ class _Strata:
         """Canonical word of element k of stratum l, peeled off its weight; builds nothing."""
         dual = 2 * l > self.dim
         mu = self.weights[self.dim - l if dual else l][k]
-        mu = list(self.layer.antipode(mu) if dual else mu)
-        alphas = self.layer.alphas
-        word, j = [], 0
-        while j < len(mu):  # peel the smallest left descent s_j: the first mu_j < 0
-            p = mu[j]
-            if p < 0:
-                word.append(j + 1)
-                for t, a in alphas[j]:
-                    mu[t] -= p * a
-                j = alphas[j][0][0]  # the lowest coordinate s_j changed
-            else:
-                j += 1
-        return tuple(word)
+        return self.layer.peel(self.layer.antipode(mu) if dual else mu)
 
 
 class Orbits:
@@ -206,6 +196,36 @@ class Orbits:
         self.antipode = lambda mu: tuple([-mu[k] for k in sigma])
         self.strata: dict[frozenset[int], _Strata] = {}
         self.coset_orders: dict[int, CosetOrder] = {}
+
+    def peel(self, mu) -> Word:
+        """Canonical word of the shortest x with x(lambda) = mu, lambda dominant.
+
+        The smallest left descent s_j of x is the first j with mu_j < 0;
+        peeling it leaves s_j(mu), until mu is dominant.
+        """
+        mu, alphas = list(mu), self.alphas
+        word, j = [], 0
+        while j < len(mu):
+            p = mu[j]
+            if p < 0:
+                word.append(j + 1)
+                for t, a in alphas[j]:
+                    mu[t] -= p * a
+                j = alphas[j][0][0]  # the lowest coordinate s_j changed
+            else:
+                j += 1
+        return tuple(word)
+
+    def projection(self, word: Word, node: int) -> Word:
+        """Canonical word of P_node(x), x the product of ``word``: read off x(omega_node).
+
+        P_node(x) is the shortest element of x W_{S - {node}}, the stabiliser
+        of omega_node; nothing is built.
+        """
+        mu = tuple(int(k == node - 1) for k in range(self.spec.rank))
+        for j in reversed(word):
+            mu = self.reflect(mu, j - 1)
+        return self.peel(mu)
 
     def store(self, jset: frozenset[int], l: int) -> _Strata:
         """The strata store of W^J, grown for stratum l."""

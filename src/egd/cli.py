@@ -3,8 +3,9 @@
 Output is deterministic: identical inputs give byte-identical text and JSON.
 Commands only parse arguments and print; every check lives in dynkin and
 engine and runs before any group is built.
-The sweep runs in one process; ``--workers`` is accepted for compatibility
-and changes nothing.  Exit codes: 0 success, 2 bad input, 3 infeasible.
+The sweep runs in one process; ``--workers`` and ``--extended`` are
+accepted for compatibility and change nothing.  Exit codes: 0 success,
+2 bad input, 3 infeasible.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def cmd_ed(args) -> int:
     _check_common(args)
     md = MarkedDiagram.parse(args.diagram, args.marked)
     mode = _MODES[args.mode]
-    result = effective_divisibility(md, mode, budget=args.budget, extended=args.extended)
+    result = effective_divisibility(md, mode, budget=args.budget)
     if args.json:
         _emit_json(
             {
@@ -91,13 +92,7 @@ def cmd_ed(args) -> int:
 def cmd_mdpairs(args) -> int:
     _check_common(args)
     md = MarkedDiagram.parse(args.diagram, args.marked)
-    pairs = md_pairs(
-        md,
-        degree=args.degree,
-        classify=args.classify,
-        budget=args.budget,
-        extended=args.extended,
-    )
+    pairs = md_pairs(md, degree=args.degree, classify=args.classify, budget=args.budget)
     # without --degree the listing is the failing degree's, never empty
     degree = args.degree if args.degree is not None else pairs[0].degree
     if args.json:
@@ -169,7 +164,7 @@ def cmd_morphism(args) -> int:
     target = _parse_side(args.target)
     if not isinstance(target, MarkedDiagram):
         raise EgdError("target must be DIAGRAM:MARKED")
-    verdict = morphism_constancy(source, target, budget=args.budget, extended=args.extended)
+    verdict = morphism_constancy(source, target, budget=args.budget)
     if args.json:
         _emit_json(
             {
@@ -225,7 +220,8 @@ def _add_common(sub) -> None:
         "--budget", type=int, default=DEFAULT_BUDGET, help="quotient element budget"
     )
     sub.add_argument(
-        "--extended", action="store_true", help="unlock the E6 complete-flag sweep"
+        "--extended", action="store_true",
+        help="accepted for compatibility; the E6 flag is swept without it",
     )
 
 

@@ -19,18 +19,23 @@ marked node against the cosets of the u-stratum, and the u of a
 violation are decoded only where a v fails.  The strata are weights and
 coset rows (bruhat.orbits, one per spec) and a listed pair holds the
 canonical words of v and u, peeled off their weights, so the sweep
-builds no root system: a WeylGroupContext is built only to classify
-pairs, for MdPair.u and MdPair.v, and for the pair-by-pair path.  A
-marked node whose maximal quotient exceeds MAX_COSETS gets no coset
-order: such a marked set is compared pair by pair with bruhat_leq on
-whole strata of elements, and its full sweep is refused before anything
-is built when no closed form bounds where it stops.
+builds no root system.  Type-D tags are read off weights too: a pair
+pulls back from D(r) by a length test on x(omega_r) (classify_md_pairs).
+A WeylGroupContext is built only for MdPair.u and MdPair.v and for the
+pair-by-pair path.  A marked node whose maximal quotient exceeds
+MAX_COSETS gets no coset order: such a marked set is compared pair by
+pair with bruhat_leq on whole strata of elements, and its full sweep is
+refused before anything is built when no closed form bounds where it
+stops.
 
 Admission: every refusal is decided before any context is built, from the
 spec and the degree table alone.  dynkin checks node ranges, letters and
 stratum lengths and counts |W|, N and dim G/P_J; the size limits below
 (roots, budget, cosets, stratum entries) are checked here, in a fixed
-order, so an input bad in two ways always gets the same refusal.
+order, so an input bad in two ways always gets the same refusal.  The
+root count comes first, so no |W^J| past it is counted; a closed-form
+request consults no limit, and "both" falls back to the closed form
+whenever the sweep is refused.
 
 Closed forms: A_n(R) = n, B_n(R) = C_n(R) = 2n-1, D_n(R) = 2n-3 when R
 meets {1, n-1, n} and 2n-2 otherwise; complete flags of G2, F4, E6 give
@@ -60,14 +65,7 @@ from .dynkin import (
     stratum_size,
 )
 from .errors import DegreeOutOfRange, EgdError, EmptyMarkedSet, Infeasible
-from .parabolic import (
-    decompose,
-    dn_distinguished,
-    is_opposite_pullback,
-    is_schubert_pullback,
-    longest_in_WJ,
-    require_type_d,
-)
+from .parabolic import decompose, require_type_d  # perfbench traces engine.decompose
 from .weyl import WeylElement, WeylGroupContext, Word, build_group, parse_word
 
 DEFAULT_BUDGET = 10**6
@@ -88,14 +86,19 @@ MAX_COSETS = 100_000
 _context_cache: dict[DynkinSpec, WeylGroupContext] = {}
 
 
-def _roots(spec: DynkinSpec) -> int:
-    """N of spec; Infeasible, from the degrees alone, over MAX_POSITIVE_ROOTS."""
+def _too_many_roots(spec: DynkinSpec) -> str | None:
+    """Why spec is refused, from the degrees alone, if it has over MAX_POSITIVE_ROOTS."""
     roots = num_positive_roots(spec)
     if roots > MAX_POSITIVE_ROOTS:
-        raise Infeasible(
-            f"{spec} has {roots} positive roots, over the limit of {MAX_POSITIVE_ROOTS}"
-        )
-    return roots
+        return f"{spec} has {roots} positive roots, over the limit of {MAX_POSITIVE_ROOTS}"
+    return None
+
+
+def _roots(spec: DynkinSpec) -> int:
+    """N of spec; Infeasible over MAX_POSITIVE_ROOTS."""
+    if refusal := _too_many_roots(spec):
+        raise Infeasible(refusal)
+    return num_positive_roots(spec)
 
 
 def get_context(spec: DynkinSpec) -> WeylGroupContext:
@@ -218,24 +221,24 @@ def _oversize_cosets(spec: DynkinSpec, jset: frozenset[int]) -> str | None:
     return None
 
 
-def _infeasibility(md: MarkedDiagram, budget: int, extended: bool) -> str | None:
+def _infeasibility(md: MarkedDiagram, budget: int) -> str | None:
     """Why the full sweep of md is refused before anything is built, if it is.
 
-    A marked set with a node over MAX_COSETS is swept pair by pair, which
-    is cheap only when the sweep fails early.  A closed form says where it
-    fails; without one the sweep may run through the middle strata, and
-    E8(4) and E8(5) ran out of memory that way, so they are refused.
+    The root count comes first: it bounds |W^J|, which is not counted past
+    it.  A marked set with a node over MAX_COSETS is swept pair by pair,
+    which is cheap only when the sweep fails early.  A closed form says
+    where it fails; without one the sweep may run through the middle
+    strata, and E8(4) and E8(5) ran out of memory that way, so they are
+    refused.
     """
     spec, jset = md.spec, md.parabolic_set
+    if refusal := _too_many_roots(spec):
+        return refusal
     size = quotient_size(spec, jset)
     if size > budget:
         return f"W^J of {spec} has {size} elements, over the budget of {budget}"
     if closed_form_ed(md) is None:
-        oversize = _oversize_cosets(spec, jset)
-        if oversize:
-            return oversize
-    if spec.family == "E" and spec.rank == 6 and not jset and not extended:
-        return "the E6 complete-flag sweep runs only with the extended flag"
+        return _oversize_cosets(spec, jset)
     return None
 
 
@@ -360,34 +363,29 @@ def effective_divisibility(
     mode: str = "both",
     *,
     budget: int = DEFAULT_BUDGET,
-    extended: bool = False,
 ) -> EdResult:
     """Effective good divisibility of the marked diagram.
 
     mode picks the computation path: "closed_form", "brute_force", or
-    "both" (the default: run whichever are available and cross-check).
-    The witness is the first pair of the failing degree's listing.
+    "both" (the default: run whichever are available and cross-check;
+    a refused sweep leaves the closed form where there is one).  The
+    witness is the first pair of the failing degree's listing.
     """
     if mode not in ("closed_form", "brute_force", "both"):
         raise EgdError(f"unknown mode {mode!r}")
     jset = _parabolic_set(md)
     cf = closed_form_ed(md)
-    blocked = _infeasibility(md, budget, extended)
-
     if mode == "closed_form":
         if cf is None:
             raise Infeasible(f"no closed form for {md.label()}")
         return EdResult(cf, "closed_form", None, cf, None, False)
 
-    if mode == "brute_force" and blocked:
+    blocked = _infeasibility(md, budget)
+    if blocked and (mode == "brute_force" or cf is None):
         raise Infeasible(blocked)
-    if mode == "both" and blocked and cf is None:
-        raise Infeasible(blocked)
-
     if blocked:
         return EdResult(cf, "closed_form", None, cf, None, False)
 
-    _roots(md.spec)  # get_context's refusal, though the sweep builds no context
     bf, capped, pairs = _brute_ed(md.spec, jset)
     witness = pairs[0]
 
@@ -406,7 +404,6 @@ def md_pairs(
     degree: int | None = None,
     classify: bool = False,
     budget: int = DEFAULT_BUDGET,
-    extended: bool = False,
 ) -> list[MdPair]:
     """All maximal disjoint pairs of md (or the violating pairs at ``degree``).
 
@@ -417,10 +414,8 @@ def md_pairs(
     are the ones the degree sweep found at its failing degree ed + 1.
     """
     jset = _parabolic_set(md)
-    blocked = _infeasibility(md, budget, extended)
-    if blocked:
+    if blocked := _infeasibility(md, budget):
         raise Infeasible(blocked)
-    _roots(md.spec)  # get_context's refusal, still ahead of the degree's
     dim = dimension(md.spec, jset)
     if degree is not None and not 0 <= degree <= dim + 1:
         raise DegreeOutOfRange(f"degree {degree} outside 0..{dim + 1}")
@@ -428,43 +423,36 @@ def md_pairs(
         require_type_d(md.spec)
     pairs = _brute_ed(md.spec, jset)[2] if degree is None else _listing(md.spec, jset, degree)
     if classify:
-        pairs = classify_md_pairs(get_context(md.spec), pairs, jset=jset)
+        pairs = classify_md_pairs(md.spec, pairs, jset=jset)
     return pairs
 
 
-def classify_md_pairs(
-    ctx: WeylGroupContext, pairs, *, jset=frozenset()
-) -> list[MdPair]:
-    """Tag each D_n pair with the quotient nodes {1, n-1, n} it pulls back from.
+def classify_md_pairs(spec: DynkinSpec, pairs, *, jset=frozenset()) -> list[MdPair]:
+    """Tag each D_n pair with the nodes r in {1, n-1, n} whose quotient D(r) it pulls back from.
 
-    Pairs from a proper quotient are first lifted to the flag: the Schubert
-    side picks up the fiber class (u -> u w_{0J}), the opposite side is
-    already a flag class.  Node 1 is recognized by the quadric criterion
-    {v^J, u^J} = {w_alpha, w_beta}; the spinor nodes by the pullback tests
-    on the corresponding quotients.
+    A pair (v, u) of W^J lifts to the flag as (v, u w_{0J}) and comes from
+    D(r) iff v is in W^{S - {r}} and u w_{0J} is the longest element of its
+    coset modulo W_{S - {r}} (Bjorner-Brenti, GTM 231, section 2.4).  With
+    l_r(x) = l(P_r(x)) peeled off x(omega_r) (Orbits.projection), that reads
+    l_r(v) = l(v) and l_r(u) + N_{S - {r}} = l(u) + N_J.  No r in J passes
+    the first test, as listed pairs have v != e: W^J and W^{S - {r}} then
+    meet only in the identity.
     """
-    n = ctx.rank
-    dist = dn_distinguished(ctx)  # raises NotTypeD off family D
-    jset = frozenset(jset)
-    w0j = longest_in_WJ(ctx, jset)
-    quadric_j = frozenset(ctx.spec.nodes) - {1}
-    middle = {dist.w_alpha, dist.w_beta}
-    out = []
-    for pair in pairs:
-        u = ctx.multiply(ctx.from_word(pair.word_u), w0j)
-        v = ctx.from_word(pair.word_v)
-        tags = set()
-        if {decompose(ctx, v, quadric_j).up, decompose(ctx, u, quadric_j).up} == middle:
-            tags.add(1)
-        for r in (n - 1, n):
-            jr = frozenset(ctx.spec.nodes) - {r}
-            if is_schubert_pullback(ctx, u, jr) and is_opposite_pullback(ctx, v, jr):
-                tags.add(r)
-        out.append(replace(pair, tags=frozenset(tags)))
-    return out
+    n = require_type_d(spec)
+    jset, nodes, orbs = frozenset(jset), frozenset(spec.nodes), orbits(spec)
+    lift = num_positive_roots(spec, jset)
+    fibres = {r: num_positive_roots(spec, nodes - {r}) for r in (1, n - 1, n)}
+    return [
+        replace(pair, tags=frozenset(
+            r for r, fibre in fibres.items()
+            if len(orbs.projection(pair.word_v, r)) == len(pair.word_v)
+            and len(orbs.projection(pair.word_u, r)) + fibre == len(pair.word_u) + lift
+        ))
+        for pair in pairs
+    ]
 
 
-def _resolve_ed(side, *, budget: int, extended: bool):
+def _resolve_ed(side, *, budget: int):
     """A callable giving (ed value, display label) of a marked diagram or an int.
 
     Every refusal of the side is raised here, not by the callable, so both
@@ -476,11 +464,10 @@ def _resolve_ed(side, *, budget: int, extended: bool):
     cf = closed_form_ed(side)
     if cf is not None:
         return lambda: (cf, side.label())
-    blocked = _infeasibility(side, budget, extended)
-    if blocked:
+    if blocked := _infeasibility(side, budget):
         raise Infeasible(blocked)
     return lambda: (
-        effective_divisibility(side, "brute_force", budget=budget, extended=extended).value,
+        effective_divisibility(side, "brute_force", budget=budget).value,
         side.label(),
     )
 
@@ -490,7 +477,6 @@ def morphism_constancy(
     target: MarkedDiagram,
     *,
     budget: int = DEFAULT_BUDGET,
-    extended: bool = False,
 ) -> MorphismVerdict:
     """Decide constancy of morphisms source -> target from divisibility alone.
 
@@ -500,7 +486,7 @@ def morphism_constancy(
     The proper-subdiagram rule is reported when it applies; in that case
     the ed comparison always lands on "constant" as well.
     """
-    src, tgt = [_resolve_ed(side, budget=budget, extended=extended) for side in (source, target)]
+    src, tgt = [_resolve_ed(side, budget=budget) for side in (source, target)]
     (src_ed, src_label), (tgt_ed, tgt_label) = src(), tgt()
     rule = (
         isinstance(source, MarkedDiagram)

@@ -179,12 +179,14 @@ class DnDistinguished:
 
 
 def dn_distinguished(ctx: WeylGroupContext) -> DnDistinguished:
-    """The five named D_n elements used by the md-pair classification.
+    """The five named D_n elements of the md-pair classification.
 
     w_alpha = s_{n-1}s_{n-2}...s_1 and w_beta = s_n s_{n-2}...s_1 are the
     two middle classes of the even quadric; theta_* are their inverses;
     sigma_beta is the spinor element of the sequence (0, 1, ..., n-2),
-    whose opposite class is its own disjoint partner.
+    whose opposite class is its own disjoint partner.  The paper's quadric
+    criterion {v^I, (u w_{0J})^I} = {w_alpha, w_beta}, I = S - {1}, is the
+    test reference of engine.classify_md_pairs at node 1.
     """
     n = require_type_d(ctx.spec)
     w_alpha = ctx.from_word((n - 1,) + tuple(range(n - 2, 0, -1)))

@@ -213,7 +213,7 @@ def test_bad_workers_and_budget_rejected_before_build(capsys, monkeypatch, argv)
 @pytest.mark.parametrize(
     "argv",
     [
-        ("ed", "A200", "1"),
+        ("ed", "A200", "1", "--mode", "brute"),
         ("strata", "A200", "3"),
         ("decompose", "A200", "1", "2"),
         # bad two ways: the root count is checked before the letters
@@ -287,7 +287,7 @@ def test_coset_limit_refuses_only_sweeps_without_closed_form():
     ]
     for diagram, marked, budget in admitted:
         md = MarkedDiagram.parse(diagram, marked)
-        assert _infeasibility(md, budget, False) is None, (diagram, marked)
+        assert _infeasibility(md, budget) is None, (diagram, marked)
     for diagram, marked in [("A19", "10"), ("B17", "17"), ("D18", "18"), ("A50", "4")]:
         md = MarkedDiagram.parse(diagram, marked)
         assert _oversize_cosets(md.spec, md.parabolic_set), (diagram, marked)
@@ -345,6 +345,15 @@ SWEEPS_WITHOUT_CONTEXT = {
         "morphism A4(1) -> A3(2)\nverdict: constant\ned(A4(1)) = 4 > ed(A3(2)) = 3\n"
         "subdiagram rule: the target diagram is a proper subdiagram of the source\n"
     ),
+    # tags read off the weights x(omega_r), r = 1, 4, 5
+    ("mdpairs", "D5", "all", "--classify"): (
+        "mdpairs D5(1,2,3,4,5) degree=8\n"
+        "1) l(v)= 4 c(u)= 4 v=[1,2,3,4] u=[2,3,2,4,3,2,1,5,3,2,1,4,3,2,5,3] tags={4}\n"
+        "2) l(v)= 4 c(u)= 4 v=[1,2,3,5] u=[2,3,2,4,3,2,5,3,2,1,4,3,2,5,3,4] tags={5}\n"
+        "3) l(v)= 4 c(u)= 4 v=[4,3,2,1] u=[1,2,1,3,2,1,5,3,2,1,4,3,2,5,3,4] tags={1}\n"
+        "4) l(v)= 4 c(u)= 4 v=[5,3,2,1] u=[1,2,1,3,2,1,4,3,2,1,5,3,2,4,3,5] tags={1}\n"
+        "total 4\n"
+    ),
 }
 
 
@@ -367,7 +376,6 @@ def test_sweeps_build_no_root_system(capsys, monkeypatch, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("mdpairs", "D5", "all", "--classify"),
         ("decompose", "D5", "4,3,5,2,3,4,1,2,3,5,1,2,3,1,2,1", "2,3,4,5"),
         ("strata", "D4", "3", "2,3,4"),
         # node 10 of A19 is over MAX_COSETS: the pair-by-pair path
@@ -463,8 +471,65 @@ def test_zero_budget_still_accepted(capsys):
 def test_exit_code_infeasible(capsys):
     code, _, err = run(capsys, "ed", "E7", "all")
     assert code == 3 and "infeasible" in err
-    code, _, err = run(capsys, "ed", "E6", "all", "--mode", "brute")
-    assert code == 3
+    code, _, err = run(capsys, "ed", "E7", "all", "--mode", "brute")
+    assert code == 3 and "infeasible" in err
+    # the E6 flag is under the budget: swept without any flag
+    code, out, _ = run(capsys, "ed", "E6", "all", "--mode", "brute")
+    assert code == 0 and "ed = 12" in out.splitlines()
+    code, out, _ = run(capsys, "mdpairs", "E6", "all")
+    assert code == 0 and out.splitlines()[-1] == "total 2"
+
+
+@pytest.mark.parametrize(
+    "argv,code,first",
+    [
+        # over the root limit: the closed form answers, |W^J| is never counted
+        (("ed", "A1600", "all"), 0, "ed = 1600"),
+        (("ed", "A1600", "all", "--mode", "closed"), 0, "ed = 1600"),
+        (("ed", "A200", "1"), 0, "ed = 200"),
+        (("ed", "A200000", "1", "--mode", "closed"), 0, "ed = 200000"),
+        # no closed form asked for: the root count refuses, in one line
+        (("ed", "A1600", "all", "--mode", "brute"), 3,
+         "infeasible: A1600 has 1280800 positive roots, over the limit of 5050"),
+        (("mdpairs", "A2000", "all"), 3,
+         "infeasible: A2000 has 2001000 positive roots, over the limit of 5050"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, tuple) else None,
+)
+def test_huge_rank_admission_is_bounded(capsys, monkeypatch, argv, code, first):
+    import egd.engine
+
+    def no_count(spec, jset):
+        raise AssertionError(f"counted W^J of {spec}")
+
+    monkeypatch.setattr(egd.engine, "quotient_size", no_count)
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code:
+        assert (out, err) == ("", first + "\n")
+    else:
+        assert out.splitlines()[1] == first and "method = closed_form" in out
+        assert err == ""
+
+
+def test_classified_degree_listings_follow_pullback_rule(capsys):
+    # v = s3 s2 s1 s4 s2 has right descent 2: not in W^{S - {1}}, so no tag 1
+    code, out, _ = run(capsys, "mdpairs", "D4", "2", "--degree", "10", "--classify")
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "total 41"
+    assert lines[36] == "36) l(v)= 5 c(u)= 5 v=[3,2,1,4,2] u=[2,1,4,2] tags={}"
+    assert lines[39] == "39) l(v)= 5 c(u)= 5 v=[4,2,1,3,2] u=[2,1,3,2] tags={}"
+    # every pair at degree dim + 1 of D4(1) is a pair of the quadric itself
+    code, out, _ = run(capsys, "mdpairs", "D4", "1", "--degree", "7", "--classify")
+    assert (code, out) == (
+        0,
+        "mdpairs D4(1) degree=7\n"
+        "1) l(v)= 1 c(u)= 6 v=[1] u=[] tags={1}\n"
+        "2) l(v)= 2 c(u)= 5 v=[2,1] u=[1] tags={1}\n"
+        "3) l(v)= 3 c(u)= 4 v=[3,2,1] u=[2,1] tags={1}\n"
+        "4) l(v)= 3 c(u)= 4 v=[4,2,1] u=[2,1] tags={1}\n"
+        "total 4\n",
+    )
 
 
 def test_repeat_runs_byte_identical(capsys):

@@ -11,10 +11,13 @@ from egd import (
     bruhat_leq,
     classify_md_pairs,
     closed_form_ed,
+    decompose,
     dn_distinguished,
     effective_divisibility,
     get_context,
     has_egd_up_to,
+    is_opposite_pullback,
+    is_schubert_pullback,
     longest_in_WJ,
     md_pairs,
     morphism_constancy,
@@ -174,9 +177,11 @@ def test_infeasibility_gates():
     with pytest.raises(Infeasible):
         effective_divisibility(flag("E7"), "both")
     with pytest.raises(Infeasible):
-        effective_divisibility(flag("E6"), "brute_force")
+        effective_divisibility(flag("E7"), "brute_force")
+    # the E6 flag (51,840 elements) is swept like any set under the budget
+    assert effective_divisibility(flag("E6"), "brute_force").value == 12
     res = effective_divisibility(flag("E6"), "both")
-    assert res.method == "closed_form" and res.value == 12
+    assert res.method == "both" and res.value == 12 and res.witness is not None
     with pytest.raises(Infeasible):
         effective_divisibility(flag("D5"), "brute_force", budget=10)
     # big diagram with a closed form still answers in both mode
@@ -249,8 +254,6 @@ def test_classification_sigma_theta_pair():
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_classification_covers_all_pairs(n):
-    from egd import is_opposite_pullback, is_schubert_pullback
-
     ctx = get_context(DynkinSpec("D", n))
     pairs = md_pairs(flag(f"D{n}"), classify=True)
     j1 = frozenset(ctx.spec.nodes) - {1}
@@ -266,9 +269,8 @@ def test_classification_covers_all_pairs(n):
 
 
 def test_classification_requires_type_d():
-    ctx = get_context(DynkinSpec("A", 3))
     with pytest.raises(NotTypeD):
-        classify_md_pairs(ctx, md_pairs(flag("A3")))
+        classify_md_pairs(DynkinSpec("A", 3), md_pairs(flag("A3")))
     with pytest.raises(NotTypeD):
         md_pairs(flag("A3"), classify=True)
 
@@ -277,6 +279,60 @@ def test_classified_quotient_pairs_lift():
     # the D4 quadric's own md-pairs tag themselves with node 1 after lifting
     pairs = md_pairs(MarkedDiagram.parse("D4", "1"), classify=True)
     assert pairs and all(1 in p.tags for p in pairs)
+
+
+def _marked_sets(spec):
+    return [
+        MarkedDiagram(spec, frozenset(marked))
+        for k in range(1, spec.rank + 1)
+        for marked in itertools.combinations(spec.nodes, k)
+    ]
+
+
+def _pullback_tags(ctx, pair, jset):
+    """r in {1, n-1, n} such that v is in W^I and u w_{0J} longest in u w_{0J} W_I, I = S - {r}."""
+    n, nodes = ctx.rank, frozenset(ctx.spec.nodes)
+    u = ctx.multiply(pair.u, longest_in_WJ(ctx, jset))
+    return frozenset(
+        r
+        for r in (1, n - 1, n)
+        if is_opposite_pullback(ctx, pair.v, nodes - {r})
+        and is_schubert_pullback(ctx, u, nodes - {r})
+    )
+
+
+def test_classification_at_every_degree_matches_pullback_tests():
+    # tags read off the weights against the pullback tests on elements, at
+    # every degree of every D4 marked set
+    spec = DynkinSpec("D", 4)
+    ctx = get_context(spec)
+    checked = 0
+    for md in _marked_sets(spec):
+        for degree in range(dimension(spec, md.parabolic_set) + 2):
+            for pair in md_pairs(md, degree=degree, classify=True):
+                want = _pullback_tags(ctx, pair, md.parabolic_set)
+                assert pair.tags == want, (md.label(), degree, pair.word_v, pair.word_u)
+                checked += 1
+    assert checked == 17529
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_default_listing_tags_match_quadric_criterion(n):
+    # node 1 by the quadric criterion {v^I, (u w_{0J})^I} = {w_alpha, w_beta},
+    # I = S - {1}; nodes n-1 and n by the pullback tests on elements
+    spec = DynkinSpec("D", n)
+    ctx = get_context(spec)
+    dist = dn_distinguished(ctx)
+    middle = {dist.w_alpha, dist.w_beta}
+    quadric = frozenset(spec.nodes) - {1}
+    for md in _marked_sets(spec):
+        w0j = longest_in_WJ(ctx, md.parabolic_set)
+        for pair in md_pairs(md, classify=True):
+            u = ctx.multiply(pair.u, w0j)
+            ups = {decompose(ctx, pair.v, quadric).up, decompose(ctx, u, quadric).up}
+            assert (1 in pair.tags) == (ups == middle), (md.label(), pair.word_v)
+            spinor = _pullback_tags(ctx, pair, md.parabolic_set) - {1}
+            assert pair.tags - {1} == spinor, (md.label(), pair.word_v)
 
 
 def test_bc_same_divisibility():
@@ -414,7 +470,7 @@ def test_every_marked_set_closed_form_vs_sweep():
         for k in range(1, spec.rank + 1):
             for marked in itertools.combinations(spec.nodes, k):
                 md = MarkedDiagram(spec, frozenset(marked))
-                res = effective_divisibility(md, "both", extended=True)
+                res = effective_divisibility(md, "both")
                 cf = closed_form_ed(md)
                 assert res.brute_force == res.value and res.closed_form == cf
                 assert res.method == ("brute_force" if cf is None else "both")
