@@ -18,26 +18,31 @@ W^J onto the orbit W lambda_R: its stabiliser is W_J (Humphreys, Reflection
 Groups and Coxeter Groups, 1.12).  Strata up to dim/2 grow breadth first
 on these rank-wide weights: for mu = x(lambda_R), s_j x is in W^J one level
 up iff mu_j > 0, and in x W_J iff mu_j = 0; s_j is a left descent iff
-mu_j < 0.  Stratum l > dim/2 is the image of stratum dim - l under the
-length-reversing x -> w_0 x w_{0J}, of weight w_0 mu = -sigma(mu).  A
-canonical word is peeled off a weight (Orbits.peel), and the projection
-P_r(x) of a word to the maximal quotient W^{S - {r}} is peeled off
-x(omega_r) (Orbits.projection); root permutations are built only by
-quotient_stratum, one left product per element, and kept on the context.
+mu_j < 0.  Each grown weight keeps a record (parent, j).  Stratum l > dim/2
+is the image of stratum dim - l under x -> w_0 x w_{0J}, which reverses the
+Bruhat order on W^J (Bjorner-Brenti, GTM 231, ch. 2); the weight of the
+image is w_0 mu = -sigma(mu).  Every per-element family (coset rows, root
+permutations, the weights of a coset order) is filled from the records by
+one walk (_Strata.walk): up from the identity to dim/2, down from the top
+w_0 w_{0J} above it.  A canonical word is peeled off a weight
+(Orbits.peel), and the projection P_r(x) of a word to the maximal quotient
+W^{S - {r}} is peeled off x(omega_r) (Orbits.projection); root
+permutations are built only by quotient_stratum, one left product per
+element, and kept on the context.
 
 Coset orders decide the sweep's comparisons by Deodhar's criterion
 (Bjorner-Brenti, GTM 231, section 2.6): for v, u in W^J, v <= u iff
 P_i(v) <= P_i(u) in the maximal quotient Q_i = W^{S - {i}} for every node
 i outside J.
-- Q_i is the W-orbit of omega_i.  A breadth-first search from the lowest
-  weight w_0 omega_i numbers the cosets from the top (0) down to the
-  identity coset (|Q_i| - 1).
+- Q_i is the W-orbit of omega_i, grown once in the strata store of
+  W^{S - {i}}; its strata read top down number the cosets from the top (0)
+  to the identity coset (|Q_i| - 1).
 - Lower covers come from the lifting property: for a left descent s of
   b, they are s*b and s*c for each lower cover c of s*b with s*c > c.
 - Up-sets are int bitsets, OR-ed top down; no bit of the up-set of coset
   a lies above a.
-- Coset rows (P_i(x), i outside J) ride on the strata store: a grown
-  weight takes act_j of its parent's row, w_0 x w_{0J} the antipode of x's.
+- Coset rows (P_i(x), i outside J) are one family the walk fills: the row
+  of s_j x is act_j of the row of x.
 Coset orders are built only when a sweep asks for coset rows.
 """
 
@@ -131,8 +136,9 @@ class _Strata:
     ``weights[l]`` (l <= dim/2) lists stratum l's weights in stratum order;
     weight k is s_j of weight b of stratum l - 1 for ``parents[l][k] = (b, j)``.
     Element k of stratum l > dim/2 is w_0 x w_{0J}, x element k of stratum
-    dim - l.  ``rows`` and ``masks`` (coset rows and per-node coset bitsets
-    of a stratum) are filled on first use.
+    dim - l.  ``walk`` fills any per-element family from these records;
+    ``rows`` and ``masks`` (coset rows and per-node coset bitsets of a
+    stratum) are filled on first use.
     """
 
     __slots__ = ("dim", "layer", "weights", "parents", "rows", "masks")
@@ -157,6 +163,29 @@ class _Strata:
                 self.parents[depth] = list(children.values())
                 weights[depth] = list(children)
 
+    def walk(self, l: int, levels: list, bottom, top, step) -> list:
+        """Fill stratum l of a per-element family ``levels`` from the records; return it.
+
+        ``levels`` has dim + 1 entries, None where not yet filled; strata up
+        to min(l, dim - l) must be grown.  Up to dim/2 the value of s_j x_b
+        is step(value of x_b, j), from ``bottom`` at the identity.  Above,
+        element k of stratum m is y = w_0 x w_{0J} with x = s_j x_b by the
+        record (b, j) of stratum dim - m, and w_0 s_j x_b w_{0J} =
+        s_sigma(j) w_0 x_b w_{0J}: its value is step(value of y_b,
+        sigma(j)), y_b element b of stratum m + 1, from ``top`` at
+        w_0 w_{0J}.
+        """
+        dim, up = self.dim, 2 * l <= self.dim
+        gens = range(len(self.layer.sigma)) if up else self.layer.sigma
+        above = None
+        for m in range(l + 1) if up else range(dim, l - 1, -1):
+            if levels[m] is None:
+                levels[m] = [bottom if up else top] if above is None else [
+                    step(above[b], gens[j]) for b, j in self.parents[m if up else dim - m]
+                ]
+            above = levels[m]
+        return levels[l]
+
     def word(self, l: int, k: int) -> Word:
         """Canonical word of element k of stratum l, peeled off its weight; builds nothing."""
         dual = 2 * l > self.dim
@@ -172,8 +201,8 @@ class Orbits:
     per spec (``orbits``), which every context of that spec reads too.
     Weights are in fundamental-weight coordinates; ``alphas[j]`` lists the
     nonzero (k, a) of alpha_j, row j of the Cartan matrix, and
-    s_j(mu) = mu - mu_j * alpha_j.  w_0 alpha_k = -alpha_sigma(k), so
-    w_0(mu) = -sigma(mu), the ``antipode``.
+    s_j(mu) = mu - mu_j * alpha_j.  ``sigma[j]`` is sigma(j + 1) - 1, and
+    w_0 alpha_k = -alpha_sigma(k), so w_0(mu) = -sigma(mu), the ``antipode``.
     """
 
     __slots__ = ("spec", "alphas", "sigma", "reflect", "antipode", "strata", "coset_orders")
@@ -183,8 +212,7 @@ class Orbits:
         self.alphas = alphas = [
             [(k, a) for k, a in enumerate(row) if a] for row in cartan_matrix(spec)
         ]
-        self.sigma = opposition(spec)
-        sigma = [k - 1 for k in self.sigma]
+        self.sigma = sigma = [k - 1 for k in opposition(spec)]
 
         def reflect(mu, j):
             nu, p = list(mu), mu[j]
@@ -246,22 +274,14 @@ class Orbits:
     def cosets(self, jset: frozenset[int], l: int) -> list[tuple[int, ...]]:
         """Coset rows of stratum l of W^J, in stratum order (see quotient_cosets)."""
         store = self.store(jset, l)
-        rows, dim = store.rows, store.dim
-        if rows[l] is None:
+        if store.rows[l] is None:  # acts cost a pass per call: only when a level is missing
             orders = [self.coset_order(i) for i in self.spec.nodes if i not in jset]
-            if 2 * l > dim:
-                dual = self.cosets(jset, dim - l)
-                rows[l] = [tuple([o.antipode[a] for o, a in zip(orders, row)]) for row in dual]
-            else:
-                acts = [[o.act[j] for o in orders] for j in range(self.spec.rank)]
-                rows[0] = rows[0] or [tuple(o.size - 1 for o in orders)]
-                for depth in range(1, l + 1):  # a grown weight takes act_j of its parent's row
-                    above = rows[depth - 1]
-                    rows[depth] = rows[depth] or [
-                        tuple([a[c] for a, c in zip(acts[j], above[b])])
-                        for b, j in store.parents[depth]
-                    ]
-        return rows[l]
+            acts = [[o.act[j] for o in orders] for j in range(self.spec.rank)]
+            store.walk(
+                l, store.rows, tuple(o.size - 1 for o in orders), (0,) * len(orders),
+                lambda row, j: tuple([a[c] for a, c in zip(acts[j], row)]),
+            )
+        return store.rows[l]
 
     def masks(self, jset: frozenset[int], l: int) -> list[int]:
         """Per node outside J (ascending), the bitset of the cosets of stratum l."""
@@ -281,67 +301,47 @@ def orbits(spec: DynkinSpec) -> Orbits:
 def quotient_stratum(ctx: WeylGroupContext, jset, l: int) -> list[WeylElement]:
     """Elements of W^J of length exactly l, in the internal deterministic order.
 
-    Each element is one left product from an element already built, by the
-    record (b, j) of its weight: s_j * x_b for l <= dim/2, x_b element b of
-    stratum l - 1.  Above dim/2 the element is y = w_0 x w_{0J}, x element k
-    of stratum dim - l, and w_0 s_j x w_{0J} = s_sigma(j) w_0 x w_{0J} makes
-    it s_sigma(j) * y_b, y_b element b of stratum l + 1, from the top
-    w_0 w_{0J} down.  Built strata stay on the context, which owns their
-    elements.
+    Each element is one left product s_j * x from an element x already
+    built, walked on the records of the strata store (_Strata.walk) up from
+    the identity or down from the top w_0 w_{0J}.  Built strata stay on the
+    context, which owns their elements.
     """
     jset = frozenset(jset)
-    orbs = orbits(ctx.spec)
-    store = orbs.store(jset, l)
-    dim = store.dim
-    levels = ctx._strata.get(jset)
-    if levels is None:
-        levels = ctx._strata[jset] = [None] * (dim + 1)
-    if levels[l] is None:
-        if 2 * l > dim:
-            chain = range(dim, l - 1, -1)
-            gens = [ctx.simple_reflections[k - 1] for k in orbs.sigma]
-            top = ctx.multiply(ctx.longest_element, ctx.longest_in_parabolic(jset))
-        else:
-            chain, gens, top = range(l + 1), ctx.simple_reflections, ctx.identity
-        above = None
-        for m in chain:  # from the identity up, or from the top down, to l
-            if levels[m] is None:
-                if above is None:
-                    level = [top]
-                else:  # the records of stratum m, or of its dual dim - m
-                    records = store.parents[min(m, dim - m)]
-                    level = [ctx.multiply(gens[j], above[b]) for b, j in records]
-                levels[m] = level
-            above = levels[m]
+    store = orbits(ctx.spec).store(jset, l)
+    levels = ctx._strata.setdefault(jset, [None] * (store.dim + 1))
+    if levels[l] is None:  # w_0 w_{0J} takes N_J steps: only when a stratum is built
+        gens = ctx.simple_reflections
+        top = ctx.multiply(ctx.longest_element, ctx.longest_in_parabolic(jset))
+        store.walk(l, levels, ctx.identity, top, lambda x, j: ctx.multiply(gens[j], x))
     return levels[l]
 
 
 class CosetOrder:
     """The Bruhat order on the cosets Q_i = W^{S - {i}} of one node i.
 
-    Cosets are ids 0..size-1, the top coset first and the identity coset
-    last, lengths non-increasing.  ``act[j - 1][c]`` is the coset of s_j * c
-    (c when s_j fixes it), ``antipode[c]`` the coset of w_0 * c, and bit b
-    of ``up[c]`` is set iff coset b >= c."""
+    Cosets are numbered by the strata of the strata store of Q_i read top
+    down: element k of stratum l is coset k plus the number of cosets
+    longer than l, so the top coset is 0, the identity coset size - 1, and
+    lengths do not increase.  ``act[j - 1][c]`` is the coset of s_j * c (c
+    when s_j fixes it), and bit b of ``up[c]`` is set iff coset b >= c."""
 
-    __slots__ = ("size", "act", "antipode", "up")
+    __slots__ = ("size", "act", "up")
 
     def __init__(self, layer: Orbits, node: int):
-        n = layer.spec.rank
-        reflect, antipode = layer.reflect, layer.antipode
-        weights = [antipode(tuple(int(k == node - 1) for k in range(n)))]
-        index = {weights[0]: 0}
-        act = [[] for _ in range(n)]
-        for b, mu in enumerate(weights):  # grows while read: breadth first, downwards
-            for j in range(n):
-                nu = reflect(mu, j) if mu[j] else mu
-                c = index.setdefault(nu, len(weights))
-                if c == len(weights):
-                    weights.append(nu)
-                act[j].append(c)
+        n, reflect = layer.spec.rank, layer.reflect
+        jset = frozenset(layer.spec.nodes) - {node}
+        store = layer.store(jset, dimension(layer.spec, jset) // 2)
+        levels, lam = list(store.weights), store.weights[0][0]
+        top = layer.antipode(lam)  # w_0 omega_i, the weight of the top coset
+        weights = [  # by coset id: the strata top down
+            mu for l in range(store.dim, -1, -1) for mu in store.walk(l, levels, lam, top, reflect)
+        ]
+        index = {mu: c for c, mu in enumerate(weights)}
         self.size = size = len(weights)
-        self.act = act
-        self.antipode = [index[antipode(mu)] for mu in weights]
+        self.act = act = [  # ids from index: every table shares its int objects
+            [index[reflect(mu, j)] if mu[j] else c for mu, c in index.items()]
+            for j in range(n)
+        ]
         # lower covers, shortest cosets first: for a left descent s_j of b
         # (mu_j < 0), covers(b) = {s_j b} + {s_j c : c in covers(s_j b), s_j c > c}
         covers: list[list[int]] = [[] for _ in range(size)]

@@ -16,8 +16,9 @@ Every count comes from one table of degrees per irreducible type
 (Humphreys, Reflection Groups and Coxeter Groups, 3.7): A_k 2..k+1, B_k and
 C_k 2, 4, ..., 2k, D_k 2, 4, ..., 2k-2, k; G2, F4, E6, E7 and E8 listed.
 |W| is their product, N = l(w_0) the sum of d - 1, the Poincare polynomial
-the product of [d]_q = 1 + q + ... + q^(d-1), and W_J takes the degrees of
-its components.  A fork is E_k only in an E diagram holding nodes 1 and 6:
+the product of [d]_q = 1 + q + ... + q^(d-1).  W reads its degrees off its
+own type, so counting N walks no diagram; W_J takes the degrees of its
+components.  A fork is E_k only in an E diagram holding nodes 1 and 6:
 without either, two of its legs have one node, and it is D_k.
 """
 
@@ -204,8 +205,10 @@ def _component_type(spec: DynkinSpec, comp: set[int], comp_bonds) -> tuple[str, 
 
 
 def degrees(spec: DynkinSpec, subset=None) -> tuple[int, ...]:
-    """Degrees of W, or of W_subset, by component from the lowest node; memoised."""
-    return _degrees(spec, frozenset(spec.nodes if subset is None else subset))
+    """Degrees of W from its type, or of W_subset by component from the lowest node (memoised)."""
+    if subset is None:
+        return _type_degrees(spec.family, spec.rank)
+    return _degrees(spec, frozenset(subset))
 
 
 @lru_cache(maxsize=None)
@@ -254,7 +257,8 @@ def group_order(spec: DynkinSpec) -> int:
 
 def num_positive_roots(spec: DynkinSpec, subset=None) -> int:
     """N = l(w_0) = sum of (d - 1) over the degrees of W, or N_J for W_subset."""
-    return sum(d - 1 for d in degrees(spec, subset))
+    ds = degrees(spec, subset)
+    return sum(ds) - len(ds)
 
 
 def parabolic_order(spec: DynkinSpec, subset) -> int:

@@ -275,17 +275,18 @@ def _sweep_degree(
     violated v are decoded from the missed cosets, and their canonical
     words are peeled off the weights: no group element is built.  A marked
     set with a node over MAX_COSETS is compared pair by pair with
-    bruhat_leq in the shared context instead.  Pairs come in bucket order:
+    bruhat_leq in the shared context instead; its words are peeled off the
+    weights too.  Pairs come in bucket order:
     l(v) ascending, then stratum order of v and of u.
     """
     dim = dimension(spec, jset)
     if _oversize_cosets(spec, jset):
-        ctx = get_context(spec)
+        ctx, store = get_context(spec), orbits(spec).store(jset, 0)
         return [
-            (len_v, v.word(), u.word())
+            (len_v, store.word(len_v, k_v), store.word(dim - s + len_v, k_u))
             for len_v in range(max(1, s - dim), s // 2 + 1)
-            for v in quotient_stratum(ctx, jset, len_v)
-            for u in quotient_stratum(ctx, jset, dim - (s - len_v))
+            for k_v, v in enumerate(quotient_stratum(ctx, jset, len_v))
+            for k_u, u in enumerate(quotient_stratum(ctx, jset, dim - s + len_v))
             if not bruhat_leq(ctx, v, u)
         ]
     orbs = orbits(spec)

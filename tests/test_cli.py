@@ -294,12 +294,17 @@ def test_coset_limit_refuses_only_sweeps_without_closed_form():
     assert MAX_COSETS < 131072
 
 
-def test_oversize_classical_quotient_swept_pair_by_pair(capsys):
+def test_oversize_classical_quotient_swept_pair_by_pair(capsys, monkeypatch):
     # node 10 of A19 has C(20, 10) = 184,756 cosets: no coset order is
-    # built, and brute force still runs and agrees with the closed form
-    from egd import DynkinSpec
+    # built, and brute force still runs and agrees with the closed form.
+    # Its words are peeled off the weights, as on the bitset path
+    from egd import DynkinSpec, WeylGroupContext
     from egd.bruhat import orbits
 
+    def no_peel(ctx, x):
+        raise AssertionError("canonical word of a built element")
+
+    monkeypatch.setattr(WeylGroupContext, "canonical_word", no_peel)
     code, out, _ = run(capsys, "ed", "A19", "10")
     assert code == 0
     lines = out.splitlines()
@@ -488,7 +493,10 @@ def test_exit_code_infeasible(capsys):
         (("ed", "A1600", "all", "--mode", "closed"), 0, "ed = 1600"),
         (("ed", "A200", "1"), 0, "ed = 200"),
         (("ed", "A200000", "1", "--mode", "closed"), 0, "ed = 200000"),
+        (("ed", "A500000", "1"), 0, "ed = 500000"),
         # no closed form asked for: the root count refuses, in one line
+        (("ed", "A500000", "1", "--mode", "brute"), 3,
+         "infeasible: A500000 has 125000250000 positive roots, over the limit of 5050"),
         (("ed", "A1600", "all", "--mode", "brute"), 3,
          "infeasible: A1600 has 1280800 positive roots, over the limit of 5050"),
         (("mdpairs", "A2000", "all"), 3,
@@ -497,12 +505,18 @@ def test_exit_code_infeasible(capsys):
     ids=lambda value: " ".join(value) if isinstance(value, tuple) else None,
 )
 def test_huge_rank_admission_is_bounded(capsys, monkeypatch, argv, code, first):
+    # N of the whole diagram is read off its type: no diagram is walked
+    import egd.dynkin
     import egd.engine
 
     def no_count(spec, jset):
         raise AssertionError(f"counted W^J of {spec}")
 
+    def no_walk(spec):
+        raise AssertionError(f"walked the bonds of {spec}")
+
     monkeypatch.setattr(egd.engine, "quotient_size", no_count)
+    monkeypatch.setattr(egd.dynkin, "bonds", no_walk)
     got, out, err = run(capsys, *argv)
     assert got == code
     if code:

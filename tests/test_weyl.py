@@ -15,7 +15,7 @@ from egd import (
     parse_word,
     format_word,
 )
-from egd.dynkin import cartan_matrix, degrees, opposition
+from egd.dynkin import _RANK_BOUNDS, cartan_matrix, degrees, opposition
 from egd.errors import BadLetter, ContextMismatch, InvalidRank
 from test_bruhat import spec_and_words
 
@@ -397,6 +397,19 @@ def test_opposition_table_matches_longest_element(spec):
     assert [k - 1 for k in opposition(spec)] == [
         -ctx.longest_element.perm[k] - 1 for k in range(spec.rank)
     ]
+
+
+DEGREE_SPECS = [
+    DynkinSpec(family, n)
+    for family, (lo, hi) in _RANK_BOUNDS.items()
+    for n in range(lo, min(hi or 12, 12) + 1)
+]
+
+
+@pytest.mark.parametrize("spec", DEGREE_SPECS, ids=str)
+def test_degrees_by_type_match_component_walk(spec):
+    # W reads its degrees off its type; W_J, here on every node, by component
+    assert degrees(spec) == degrees(spec, spec.nodes)
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
