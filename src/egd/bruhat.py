@@ -309,9 +309,11 @@ def quotient_stratum(ctx: WeylGroupContext, jset, l: int) -> list[WeylElement]:
     jset = frozenset(jset)
     store = orbits(ctx.spec).store(jset, l)
     levels = ctx._strata.setdefault(jset, [None] * (store.dim + 1))
-    if levels[l] is None:  # w_0 w_{0J} takes N_J steps: only when a stratum is built
+    if levels[l] is None:
         gens = ctx.simple_reflections
-        top = ctx.multiply(ctx.longest_element, ctx.longest_in_parabolic(jset))
+        top = None  # w_0 w_{0J} takes N_J steps: only for a walk down from it
+        if 2 * l > store.dim:
+            top = ctx.multiply(ctx.longest_element, ctx.longest_in_parabolic(jset))
         store.walk(l, levels, ctx.identity, top, lambda x, j: ctx.multiply(gens[j], x))
     return levels[l]
 

@@ -1,8 +1,12 @@
 """Command-line front end: ed sweeps, md-pair listings, decomposition, morphisms.
 
 Output is deterministic: identical inputs give byte-identical text and JSON.
-Commands only parse arguments and print; every check lives in dynkin and
-engine and runs before any group is built.
+Each command computes its result once and returns it as (record, lines):
+the JSON record and the text lines.  main checks the shared flags
+(--workers, --budget) before the command runs and prints exactly one of
+the two, so the text and --json outputs come from one record per command.
+Every other check lives in dynkin and engine and runs before any group is
+built.
 The sweep runs in one process; ``--workers`` and ``--extended`` are
 accepted for compatibility and change nothing.  Exit codes: 0 success,
 2 bad input, 3 infeasible.
@@ -18,7 +22,6 @@ from .dynkin import DynkinSpec
 from .engine import (
     DEFAULT_BUDGET,
     MarkedDiagram,
-    MdPair,
     effective_divisibility,
     element_of_word,
     md_pairs,
@@ -32,90 +35,65 @@ from .weyl import format_word
 _MODES = {"closed": "closed_form", "brute": "brute_force", "both": "both"}
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _check_common(args) -> None:
-    """Reject out-of-range shared flags before any context is built."""
-    if args.workers < 1:
-        raise EgdError(f"--workers must be at least 1, got {args.workers}")
-    if args.budget < 0:
-        raise EgdError(f"--budget must be at least 0, got {args.budget}")
-
-
-def _pair_line(k: int, pair: MdPair, classify: bool) -> str:
+def _pair_line(record: dict, classify: bool) -> str:
+    """The text of one pair, from its JSON record (MdPair.record)."""
     line = (
-        f"{k}) l(v)= {pair.len_v} c(u)= {pair.codim_u} "
-        f"v=[{','.join(map(str, pair.word_v))}] "
-        f"u=[{','.join(map(str, pair.word_u))}]"
+        f"l(v)= {record['len_v']} c(u)= {record['codim_u']} "
+        f"v=[{record['v']}] u=[{record['u']}]"
     )
     if classify:
-        line += " tags={" + ",".join(map(str, sorted(pair.tags))) + "}"
+        line += " tags={" + ",".join(map(str, record["tags"])) + "}"
     return line
 
 
-def cmd_ed(args) -> int:
-    _check_common(args)
+def cmd_ed(args):
     md = MarkedDiagram.parse(args.diagram, args.marked)
     mode = _MODES[args.mode]
     result = effective_divisibility(md, mode, budget=args.budget)
-    if args.json:
-        _emit_json(
-            {
-                "diagram": str(md.spec),
-                "marked": sorted(md.marked),
-                "mode": mode,
-                "ed": result.value,
-                "method": result.method,
-                "closed_form": result.closed_form,
-                "brute_force": result.brute_force,
-                "capped": result.capped,
-                "mdpairs": [result.witness.record()] if result.witness else [],
-            }
-        )
-        return 0
-    print(f"ed {md.label()} mode={mode}")
-    print(f"ed = {result.value}")
-    print(f"method = {result.method}")
-    if result.closed_form is not None:
-        print(f"closed_form = {result.closed_form}")
-    if result.brute_force is not None:
-        print(f"brute_force = {result.brute_force}")
+    witness = [result.witness.record()] if result.witness else []
+    record = {
+        "diagram": str(md.spec),
+        "marked": sorted(md.marked),
+        "mode": mode,
+        "ed": result.value,
+        "method": result.method,
+        "closed_form": result.closed_form,
+        "brute_force": result.brute_force,
+        "capped": result.capped,
+        "mdpairs": witness,
+    }
+    lines = [f"ed {md.label()} mode={mode}", f"ed = {result.value}", f"method = {result.method}"]
+    for key in ("closed_form", "brute_force"):
+        if record[key] is not None:
+            lines.append(f"{key} = {record[key]}")
     if result.capped:
-        print("capped at the dimension")
-    if result.witness is not None:
-        print("witness: " + _pair_line(1, result.witness, False)[3:])
-    return 0
+        lines.append("capped at the dimension")
+    lines += ["witness: " + _pair_line(pair, False) for pair in witness]
+    return record, lines
 
 
-def cmd_mdpairs(args) -> int:
-    _check_common(args)
+def cmd_mdpairs(args):
     md = MarkedDiagram.parse(args.diagram, args.marked)
     pairs = md_pairs(md, degree=args.degree, classify=args.classify, budget=args.budget)
     # without --degree the listing is the failing degree's, never empty
     degree = args.degree if args.degree is not None else pairs[0].degree
-    if args.json:
-        _emit_json(
-            {
-                "diagram": str(md.spec),
-                "marked": sorted(md.marked),
-                "degree": degree,
-                "ed": degree - 1 if args.degree is None else None,
-                "method": "brute_force",
-                "classified": args.classify,
-                "mdpairs": [p.record() for p in pairs],
-            }
-        )
-        return 0
-    print(f"mdpairs {md.label()} degree={degree}")
-    for k, pair in enumerate(pairs, start=1):
-        print(_pair_line(k, pair, args.classify))
-    print(f"total {len(pairs)}")
-    return 0
+    records = [p.record() for p in pairs]
+    record = {
+        "diagram": str(md.spec),
+        "marked": sorted(md.marked),
+        "degree": degree,
+        "ed": degree - 1 if args.degree is None else None,
+        "method": "brute_force",
+        "classified": args.classify,
+        "mdpairs": records,
+    }
+    lines = [f"mdpairs {md.label()} degree={degree}"]
+    for k, pair in enumerate(records, start=1):
+        lines.append(f"{k}) " + _pair_line(pair, args.classify))
+    return record, lines + [f"total {len(records)}"]
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args):
     spec = DynkinSpec.parse(args.diagram)
     jset = spec.parse_nodes(args.parabolic)
     w = element_of_word(spec, args.word)
@@ -123,27 +101,24 @@ def cmd_decompose(args) -> int:
     cd = codims(w.ctx, w, jset, dec)
     up_word = format_word(dec.up.word()) if dec.up.length else ""
     down_word = format_word(dec.down.word()) if dec.down.length else ""
-    if args.json:
-        _emit_json(
-            {
-                "diagram": str(spec),
-                "word": args.word.strip(),
-                "parabolic": sorted(jset),
-                "up": up_word,
-                "down": down_word,
-                "l_up": dec.up.length,
-                "l_down": dec.down.length,
-                "cJ_up": cd.cJ_up,
-                "cJ_down": cd.cJ_down,
-                "c_total": cd.c_total,
-            }
-        )
-        return 0
-    print(f"decompose {spec} w={args.word.strip()} J={args.parabolic.strip().lower()}")
-    print(f"u^J={up_word}  u_J={down_word}")
-    print(f"l(u^J)={dec.up.length}  l(u_J)={dec.down.length}")
-    print(f"c^J(u)={cd.cJ_up}  c_J(u)={cd.cJ_down}  c(u)={cd.c_total}")
-    return 0
+    record = {
+        "diagram": str(spec),
+        "word": args.word.strip(),
+        "parabolic": sorted(jset),
+        "up": up_word,
+        "down": down_word,
+        "l_up": dec.up.length,
+        "l_down": dec.down.length,
+        "cJ_up": cd.cJ_up,
+        "cJ_down": cd.cJ_down,
+        "c_total": cd.c_total,
+    }
+    return record, [
+        f"decompose {spec} w={record['word']} J={args.parabolic.strip().lower()}",
+        f"u^J={up_word}  u_J={down_word}",
+        f"l(u^J)={dec.up.length}  l(u_J)={dec.down.length}",
+        f"c^J(u)={cd.cJ_up}  c_J(u)={cd.cJ_down}  c(u)={cd.c_total}",
+    ]
 
 
 def _parse_side(text: str):
@@ -158,56 +133,44 @@ def _parse_side(text: str):
         ) from exc
 
 
-def cmd_morphism(args) -> int:
-    _check_common(args)
+def cmd_morphism(args):
     source = _parse_side(args.source)
     target = _parse_side(args.target)
     if not isinstance(target, MarkedDiagram):
         raise EgdError("target must be DIAGRAM:MARKED")
     verdict = morphism_constancy(source, target, budget=args.budget)
-    if args.json:
-        _emit_json(
-            {
-                "source": verdict.source_label,
-                "target": verdict.target_label,
-                "verdict": verdict.verdict,
-                "source_ed": verdict.source_ed,
-                "target_ed": verdict.target_ed,
-                "subdiagram_rule": verdict.subdiagram_rule,
-            }
-        )
-        return 0
-    print(f"morphism {verdict.source_label} -> {verdict.target_label}")
-    print(f"verdict: {verdict.verdict}")
+    record = {
+        "source": verdict.source_label,
+        "target": verdict.target_label,
+        "verdict": verdict.verdict,
+        "source_ed": verdict.source_ed,
+        "target_ed": verdict.target_ed,
+        "subdiagram_rule": verdict.subdiagram_rule,
+    }
     cmp = ">" if verdict.verdict == "constant" else "<="
-    print(
+    lines = [
+        f"morphism {verdict.source_label} -> {verdict.target_label}",
+        f"verdict: {verdict.verdict}",
         f"ed({verdict.source_label}) = {verdict.source_ed} {cmp} "
-        f"ed({verdict.target_label}) = {verdict.target_ed}"
-    )
+        f"ed({verdict.target_label}) = {verdict.target_ed}",
+    ]
     if verdict.subdiagram_rule:
-        print("subdiagram rule: the target diagram is a proper subdiagram of the source")
-    return 0
+        lines.append("subdiagram rule: the target diagram is a proper subdiagram of the source")
+    return record, lines
 
 
-def cmd_strata(args) -> int:
+def cmd_strata(args):
     spec = DynkinSpec.parse(args.diagram)
     jset = spec.parse_nodes(args.parabolic)
     words = [format_word(e.word()) for e in stratum(spec, jset, args.length)]
-    if args.json:
-        _emit_json(
-            {
-                "diagram": str(spec),
-                "parabolic": sorted(jset),
-                "length": args.length,
-                "elements": words,
-            }
-        )
-        return 0
-    print(f"strata {spec} J={args.parabolic.strip().lower()} l={args.length}")
-    for word in words:
-        print(word)
-    print(f"total {len(words)}")
-    return 0
+    record = {
+        "diagram": str(spec),
+        "parabolic": sorted(jset),
+        "length": args.length,
+        "elements": words,
+    }
+    header = f"strata {spec} J={args.parabolic.strip().lower()} l={args.length}"
+    return record, [header, *words, f"total {len(words)}"]
 
 
 def _add_common(sub) -> None:
@@ -273,13 +236,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the shared flags of ed, mdpairs and morphism, before any input is read
+        if getattr(args, "workers", 1) < 1:
+            raise EgdError(f"--workers must be at least 1, got {args.workers}")
+        if getattr(args, "budget", 0) < 0:
+            raise EgdError(f"--budget must be at least 0, got {args.budget}")
+        record, lines = args.func(args)
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     except EgdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(json.dumps(record, indent=2, sort_keys=True) if args.json else "\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

@@ -28,14 +28,34 @@ pair with bruhat_leq on whole strata of elements, and its full sweep is
 refused before anything is built when no closed form bounds where it
 stops.
 
+Maximal quotients suffice: with Q_r = W^{S - {r}}, ed(D(R)) is the
+minimum of ed(D(r)) over r in R, and the md pairs of D(R) are lifts of
+single-node md pairs.
+- Upper bound: a violating pair (v, u) of Q_r at degree s lifts to
+  (v, u w_{0,S-{r}} w_{0J}) in W^J, which keeps l(v) and the codimension;
+  it still violates, because P_r preserves the order (Bjorner-Brenti,
+  GTM 231, section 2.5) and maps the lift back to (v, u).
+- Lower bound: for a violating pair (v, u) of W^J at degree s, Deodhar's
+  criterion gives a marked node i with P_i(v) not<= P_i(u).  Also
+  l(P_i v) <= l(v), and c_i(P_i u) <= c^J(u) since the fibre
+  W_{S-{i}} meet W^J has longest length dim_J - dim_i; so D(i) fails at a
+  degree <= s.
+- Equality: where the bounds meet, v lies in Q_i and u is the lift, so
+  the listing at ed + 1 is the union of the lifted listings of the
+  minimising nodes; and as ed(D(r)) <= dim_r < dim_J, a set with |R| >= 2
+  is never capped.
+The sweep does not use this (a multi-node set is swept on its own
+strata); the tests check every multi-node set of the small types against
+it, a second derivation that shares no strata with the first.
+
 Admission: every refusal is decided before any context is built, from the
 spec and the degree table alone.  dynkin checks node ranges, letters and
 stratum lengths and counts |W|, N and dim G/P_J; the size limits below
 (roots, budget, cosets, stratum entries) are checked here, in a fixed
 order, so an input bad in two ways always gets the same refusal.  The
-root count comes first, so no |W^J| past it is counted; a closed-form
-request consults no limit, and "both" falls back to the closed form
-whenever the sweep is refused.
+root count comes first, so neither J nor |W^J| is formed past it; a
+closed-form request consults no limit, and "both" falls back to the
+closed form whenever the sweep is refused.
 
 Closed forms: A_n(R) = n, B_n(R) = C_n(R) = 2n-1, D_n(R) = 2n-3 when R
 meets {1, n-1, n} and 2n-2 otherwise; complete flags of G2, F4, E6 give
@@ -229,11 +249,12 @@ def _infeasibility(md: MarkedDiagram, budget: int) -> str | None:
     which is cheap only when the sweep fails early.  A closed form says
     where it fails; without one the sweep may run through the middle
     strata, and E8(4) and E8(5) ran out of memory that way, so they are
-    refused.
+    refused.  J is formed only once the root count is admitted.
     """
-    spec, jset = md.spec, md.parabolic_set
+    spec = md.spec
     if refusal := _too_many_roots(spec):
         return refusal
+    jset = md.parabolic_set
     size = quotient_size(spec, jset)
     if size > budget:
         return f"W^J of {spec} has {size} elements, over the budget of {budget}"
@@ -242,11 +263,10 @@ def _infeasibility(md: MarkedDiagram, budget: int) -> str | None:
     return None
 
 
-def _parabolic_set(md: MarkedDiagram) -> frozenset[int]:
-    """J = complement(R); an empty R has no divisibility to compute."""
+def _require_marked(md: MarkedDiagram) -> None:
+    """EmptyMarkedSet for an empty R, which has no divisibility to compute."""
     if not md.marked:
         raise EmptyMarkedSet(f"{md.spec} needs at least one marked node")
-    return md.parabolic_set
 
 
 # -- degree sweep ------------------------------------------------------------
@@ -374,7 +394,7 @@ def effective_divisibility(
     """
     if mode not in ("closed_form", "brute_force", "both"):
         raise EgdError(f"unknown mode {mode!r}")
-    jset = _parabolic_set(md)
+    _require_marked(md)
     cf = closed_form_ed(md)
     if mode == "closed_form":
         if cf is None:
@@ -387,7 +407,7 @@ def effective_divisibility(
     if blocked:
         return EdResult(cf, "closed_form", None, cf, None, False)
 
-    bf, capped, pairs = _brute_ed(md.spec, jset)
+    bf, capped, pairs = _brute_ed(md.spec, md.parabolic_set)
     witness = pairs[0]
 
     if mode == "brute_force" or cf is None:
@@ -414,9 +434,10 @@ def md_pairs(
     such that the pair pulls back from D(r).  Without ``degree`` the pairs
     are the ones the degree sweep found at its failing degree ed + 1.
     """
-    jset = _parabolic_set(md)
+    _require_marked(md)
     if blocked := _infeasibility(md, budget):
         raise Infeasible(blocked)
+    jset = md.parabolic_set
     dim = dimension(md.spec, jset)
     if degree is not None and not 0 <= degree <= dim + 1:
         raise DegreeOutOfRange(f"degree {degree} outside 0..{dim + 1}")
@@ -461,7 +482,7 @@ def _resolve_ed(side, *, budget: int):
     """
     if isinstance(side, int):
         return lambda: (side, f"ed={side}")
-    _parabolic_set(side)
+    _require_marked(side)
     cf = closed_form_ed(side)
     if cf is not None:
         return lambda: (cf, side.label())

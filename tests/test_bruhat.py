@@ -483,6 +483,21 @@ def test_dimensions_counted_not_built():
     assert dims[1] == 78 and dims[8] == 57  # E8/P_1 and E8/P_8
 
 
+@pytest.mark.parametrize("diagram,parabolic", [("D4", "2,3,4"), ("E6", "2,3,4,5,6"), ("B3", "1")])
+def test_quotient_stratum_builds_top_only_to_walk_down(diagram, parabolic):
+    # strata up to dim/2 are walked up from the identity: w_0 w_{0J} is
+    # built, and w_{0J} interned, only for a stratum above dim/2
+    spec = DynkinSpec.parse(diagram)
+    jset = spec.parse_nodes(parabolic)
+    ctx = build_group(spec)
+    dim = quotient_dimension(ctx, jset)
+    for l in range(dim // 2 + 1):
+        quotient_stratum(ctx, jset, l)
+    assert jset not in ctx._longest_parabolic
+    quotient_stratum(ctx, jset, dim // 2 + 1)
+    assert jset in ctx._longest_parabolic
+
+
 @pytest.mark.parametrize(
     "diagram,sets",
     [("A4", 16), ("B4", 16), ("C4", 16), ("D5", 32), ("F4", 16), ("G2", 4),

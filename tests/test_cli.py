@@ -142,6 +142,13 @@ def test_strata_dump(capsys):
     lines = out.splitlines()
     assert lines[0] == "strata D4 J=2,3,4 l=3"
     assert lines[-1] == "total 2"
+    code, out, _ = run(capsys, "strata", "D4", "3", "2,3,4", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload == {
+        "diagram": "D4", "parabolic": [2, 3, 4], "length": 3, "elements": lines[1:-1]
+    }
+    assert json.dumps(payload, indent=2, sort_keys=True) == out.rstrip("\n")
 
 
 def test_exit_code_usage_errors(capsys):
@@ -192,6 +199,8 @@ def test_out_of_range_nodes_listed_sorted(capsys, argv):
         ("mdpairs", "A3", "all", "--classify"),
         # the target is checked before the source's sweep builds E7
         ("morphism", "E7:1,2", "D4:none"),
+        # a bare ed value is a source only
+        ("morphism", "D4:2", "7"),
     ],
 )
 def test_bad_workers_and_budget_rejected_before_build(capsys, monkeypatch, argv):
@@ -515,8 +524,13 @@ def test_huge_rank_admission_is_bounded(capsys, monkeypatch, argv, code, first):
     def no_walk(spec):
         raise AssertionError(f"walked the bonds of {spec}")
 
+    def no_nodes(spec):
+        raise AssertionError(f"formed the nodes of {spec}")
+
     monkeypatch.setattr(egd.engine, "quotient_size", no_count)
     monkeypatch.setattr(egd.dynkin, "bonds", no_walk)
+    if "A500000" in argv:  # J is formed only past the root refusal (`all` reads the nodes)
+        monkeypatch.setattr(egd.dynkin.DynkinSpec, "nodes", property(no_nodes))
     got, out, err = run(capsys, *argv)
     assert got == code
     if code:

@@ -17,6 +17,7 @@ from egd import (
     get_context,
     has_egd_up_to,
     is_opposite_pullback,
+    is_proper_subdiagram,
     is_schubert_pullback,
     longest_in_WJ,
     md_pairs,
@@ -478,6 +479,53 @@ def test_every_marked_set_closed_form_vs_sweep():
     assert checked == 267
 
 
+def _multi_node_sets_follow_single_nodes(spec, cap=None) -> int:
+    """Check every R with |R| >= 2 (and |W^J| <= cap) against its single nodes; count them.
+
+    ed(D(R)) is the minimum of ed(D(r)) over r in R, never capped, and the
+    listing of D(R) is the union, over the minimising r, of the lifts
+    (v, u w_{0,S-{r}} w_{0J}) of the pairs (v, u) of D(r): the maximal
+    quotients suffice (see the engine docstring).  The single-node sweeps
+    and the multi-node sweep share no strata store.
+    """
+    ctx, nodes = get_context(spec), frozenset(spec.nodes)
+    single = {r: _brute_ed(spec, nodes - {r}) for r in spec.nodes}
+    checked = 0
+    for k in range(2, spec.rank + 1):
+        for marked in itertools.combinations(spec.nodes, k):
+            jset = nodes - frozenset(marked)
+            if cap is not None and quotient_size(spec, jset) > cap:
+                continue
+            value, capped, pairs = _brute_ed(spec, jset)
+            best = min(single[r][0] for r in marked)
+            assert (value, capped) == (best, False), (str(spec), marked)
+            w0j = ctx.longest_in_parabolic(jset)
+            lifts = set()
+            for r in marked:
+                if single[r][0] == best:
+                    w0r = ctx.longest_in_parabolic(nodes - {r})
+                    lifts |= {
+                        (p.v, ctx.multiply(ctx.multiply(p.u, w0r), w0j)) for p in single[r][2]
+                    }
+            assert {(p.v, p.u) for p in pairs} == lifts, (str(spec), marked)
+            checked += 1
+    return checked
+
+
+def test_multi_node_sets_follow_single_nodes():
+    # a second derivation of every multi-node value and listing of the small
+    # types: 230 marked sets
+    checked = 0
+    for diagram in ("A3", "A4", "A5", "B3", "B4", "C4", "D4", "D5", "D6", "G2", "F4", "E6"):
+        checked += _multi_node_sets_follow_single_nodes(DynkinSpec.parse(diagram))
+    assert checked == 230
+
+
+@pytest.mark.skipif(not EXTENDED, reason="E7 quotients up to 10^5 cosets: EGD_EXTENDED=1")
+def test_multi_node_sets_follow_single_nodes_e7_extended():
+    assert _multi_node_sets_follow_single_nodes(DynkinSpec("E", 7), cap=10**5) == 42
+
+
 def test_morphism_verdicts():
     cases = [
         (("A4", "1"), ("A3", "2"), "constant"),
@@ -498,6 +546,34 @@ def test_morphism_subdiagram_rule_flag():
     assert v.subdiagram_rule and v.verdict == "constant"
     v = morphism_constancy(MarkedDiagram.parse("D5", "all"), MarkedDiagram.parse("B3", "2"))
     assert not v.subdiagram_rule
+
+
+@pytest.mark.parametrize(
+    "sub,sup,inside",
+    [
+        ("A2", "F4", True),  # nodes 1-2 of 1-2=3-4
+        ("A3", "F4", False),  # every 3-chain of F4 holds the double bond
+        ("A1", "G2", True),
+        ("A2", "G2", False),  # the triple bond is no simple bond
+        ("B2", "C3", True),  # the double bond 2=3; B2 and C2 are one diagram
+        ("C2", "B4", True),
+        ("B3", "C4", False),  # a 3-chain with the double bond at its end is C3
+        ("C3", "F4", True),  # nodes 2=3-4
+        ("B3", "F4", True),  # nodes 1-2=3
+        ("B4", "F4", False),  # F4 has no proper 4-node subdiagram
+        ("D4", "E6", True),  # E6 without nodes 1 and 6
+        ("D5", "E6", True),
+        ("E6", "E7", True),  # E7 without node 7
+        ("E6", "E8", True),
+        ("E7", "E7", False),  # not proper
+        ("E8", "E7", False),
+        ("F4", "E8", False),  # E8 has simple bonds only
+        ("G2", "F4", False),
+    ],
+    ids=lambda value: value if isinstance(value, str) else None,
+)
+def test_proper_subdiagram_table(sub, sup, inside):
+    assert is_proper_subdiagram(DynkinSpec.parse(sub), DynkinSpec.parse(sup)) is inside
 
 
 def test_morphism_with_supplied_ed():
