@@ -15,7 +15,6 @@ accepted for compatibility and change nothing.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .dynkin import DynkinSpec
@@ -248,7 +247,12 @@ def main(argv=None) -> int:
     except EgdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(record, indent=2, sort_keys=True) if args.json else "\n".join(lines))
+    if args.json:
+        import json  # only --json needs it; a text run starts without it
+
+        print(json.dumps(record, indent=2, sort_keys=True))
+    else:
+        print("\n".join(lines))
     return 0
 
 

@@ -17,16 +17,17 @@ Every count comes from one table of degrees per irreducible type
 C_k 2, 4, ..., 2k, D_k 2, 4, ..., 2k-2, k; G2, F4, E6, E7 and E8 listed.
 |W| is their product, N = l(w_0) the sum of d - 1, the Poincare polynomial
 the product of [d]_q = 1 + q + ... + q^(d-1).  W reads its degrees off its
-own type, so counting N walks no diagram; W_J takes the degrees of its
-components.  A fork is E_k only in an E diagram holding nodes 1 and 6:
-without either, two of its legs have one node, and it is D_k.
+own type, and N of W has a closed form by type (A_k k(k+1)/2, B_k and C_k
+k^2, D_k k(k-1)), so counting N walks no diagram and lists no degrees; W_J
+takes the degrees of its components.  A fork is E_k only in an E diagram
+holding nodes 1 and 6: without either, two of its legs have one node, and
+it is D_k.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
@@ -54,20 +55,19 @@ _EXCEPTIONAL_DEGREES = {
 }
 
 
-@dataclass(frozen=True)
-class DynkinSpec:
-    """A diagram family letter plus a rank."""
+class DynkinSpec(namedtuple("DynkinSpec", "family rank")):
+    """A diagram family letter plus a rank, checked when constructed (not by ``_replace``)."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InvalidRank(f"unknown family {self.family!r}")
-        lo, hi = _RANK_BOUNDS[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
+    def __new__(cls, family: str, rank: int):
+        if family not in FAMILIES:
+            raise InvalidRank(f"unknown family {family!r}")
+        lo, hi = _RANK_BOUNDS[family]
+        if rank < lo or (hi is not None and rank > hi):
             bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-            raise InvalidRank(f"family {self.family} needs rank {bound}, got {self.rank}")
+            raise InvalidRank(f"family {family} needs rank {bound}, got {rank}")
+        return super().__new__(cls, family, rank)
 
     @property
     def nodes(self) -> tuple[int, ...]:
@@ -191,6 +191,17 @@ def _type_degrees(family: str, k: int) -> tuple[int, ...]:
     return _EXCEPTIONAL_DEGREES[(family, k)]
 
 
+def _type_roots(family: str, k: int) -> int:
+    """N of the irreducible type family_k, the sum of d - 1 over its degrees, in closed form."""
+    if family == "A":
+        return k * (k + 1) // 2
+    if family in ("B", "C"):
+        return k * k
+    if family == "D":
+        return k * (k - 1)
+    return sum(_EXCEPTIONAL_DEGREES[(family, k)]) - k
+
+
 def _component_type(spec: DynkinSpec, comp: set[int], comp_bonds) -> tuple[str, int]:
     """(family, k) of the connected subdiagram of ``spec`` on ``comp``."""
     k = len(comp)
@@ -256,7 +267,13 @@ def group_order(spec: DynkinSpec) -> int:
 
 
 def num_positive_roots(spec: DynkinSpec, subset=None) -> int:
-    """N = l(w_0) = sum of (d - 1) over the degrees of W, or N_J for W_subset."""
+    """N = l(w_0) = sum of (d - 1) over the degrees of W, or N_J for W_subset.
+
+    N of W comes from its type alone, so a huge rank is counted without
+    listing its degrees.
+    """
+    if subset is None:
+        return _type_roots(spec.family, spec.rank)
     ds = degrees(spec, subset)
     return sum(ds) - len(ds)
 

@@ -65,7 +65,7 @@ route for the remaining exceptional quotients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import lru_cache
 
 from .bruhat import (
@@ -135,15 +135,14 @@ def get_context(spec: DynkinSpec) -> WeylGroupContext:
     return ctx
 
 
-@dataclass(frozen=True)
-class MarkedDiagram:
+class MarkedDiagram(namedtuple("MarkedDiagram", "spec marked")):
     """A diagram with a marked node set R; J = complement(R) is the parabolic set."""
 
-    spec: DynkinSpec
-    marked: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.spec.check_nodes(self.marked, "marked nodes")
+    def __new__(cls, spec: DynkinSpec, marked: frozenset[int]):
+        spec.check_nodes(marked, "marked nodes")
+        return super().__new__(cls, spec, marked)
 
     @property
     def parabolic_set(self) -> frozenset[int]:
@@ -159,21 +158,20 @@ class MarkedDiagram:
         return cls(spec, spec.parse_nodes(marked))
 
 
-@dataclass(frozen=True)
-class MdPair:
+class MdPair(
+    namedtuple(
+        "MdPair",
+        "spec word_v word_u len_v codim_u degree tags",
+        defaults=(frozenset(),),
+    )
+):
     """A violating pair at some degree: v not<= u with l(v) + c^J(u) = degree.
 
     The pair holds the canonical words of v and u; ``v`` and ``u`` build
     the elements in the shared context of ``spec`` when asked for.
     """
 
-    spec: DynkinSpec
-    word_v: Word
-    word_u: Word
-    len_v: int
-    codim_u: int
-    degree: int
-    tags: frozenset[int] = frozenset()
+    __slots__ = ()
 
     @property
     def v(self) -> WeylElement:
@@ -193,24 +191,14 @@ class MdPair:
         }
 
 
-@dataclass(frozen=True)
-class EdResult:
-    value: int
-    method: str  # closed_form | brute_force | both
-    witness: MdPair | None
-    closed_form: int | None
-    brute_force: int | None
-    capped: bool
+# method: closed_form | brute_force | both; witness: an MdPair or None
+EdResult = namedtuple("EdResult", "value method witness closed_form brute_force capped")
 
-
-@dataclass(frozen=True)
-class MorphismVerdict:
-    verdict: str  # constant | inconclusive
-    source_label: str
-    target_label: str
-    source_ed: int
-    target_ed: int
-    subdiagram_rule: bool
+# verdict: constant | inconclusive
+MorphismVerdict = namedtuple(
+    "MorphismVerdict",
+    "verdict source_label target_label source_ed target_ed subdiagram_rule",
+)
 
 
 def closed_form_ed(md: MarkedDiagram) -> int | None:
@@ -465,7 +453,7 @@ def classify_md_pairs(spec: DynkinSpec, pairs, *, jset=frozenset()) -> list[MdPa
     lift = num_positive_roots(spec, jset)
     fibres = {r: num_positive_roots(spec, nodes - {r}) for r in (1, n - 1, n)}
     return [
-        replace(pair, tags=frozenset(
+        pair._replace(tags=frozenset(
             r for r, fibre in fibres.items()
             if len(orbs.projection(pair.word_v, r)) == len(pair.word_v)
             and len(orbs.projection(pair.word_u, r)) + fibre == len(pair.word_u) + lift

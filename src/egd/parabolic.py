@@ -14,33 +14,22 @@ space W^{Delta \\ {n}} by nondecreasing integer sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .dynkin import DynkinSpec, dimension, num_positive_roots
 from .errors import NotClassical, NotTypeD
 from .weyl import WeylElement, WeylGroupContext, Word
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """The unique factorization w = up * down, up in W^J, down in W_J.
+Decomposition = namedtuple("Decomposition", "up down strip")
+Decomposition.__doc__ = """The unique factorization w = up * down, up in W^J, down in W_J.
 
-    ``strip`` is the sequence of right descents removed while peeling off
-    the W_J part; it is a reduced word for ``down`` read right to left.
-    """
+``strip`` is the sequence of right descents removed while peeling off
+the W_J part; it is a reduced word for ``down`` read right to left.
+"""
 
-    up: WeylElement
-    down: WeylElement
-    strip: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CodimData:
-    """Codimension bookkeeping: c_total = cJ_up + cJ_down."""
-
-    cJ_up: int
-    cJ_down: int
-    c_total: int
+CodimData = namedtuple("CodimData", "cJ_up cJ_down c_total")
+CodimData.__doc__ = "Codimension bookkeeping: c_total = cJ_up + cJ_down."
 
 
 def decompose(ctx: WeylGroupContext, w: WeylElement, jset) -> Decomposition:
@@ -169,13 +158,9 @@ def spinor_coset_words(ctx: WeylGroupContext) -> list[tuple[tuple[int, ...], Wor
     return [(seq, spinor_word(n, seq)) for seq in spinor_sequences(n)]
 
 
-@dataclass(frozen=True)
-class DnDistinguished:
-    w_alpha: WeylElement
-    w_beta: WeylElement
-    theta_alpha: WeylElement
-    theta_beta: WeylElement
-    sigma_beta: WeylElement
+DnDistinguished = namedtuple(
+    "DnDistinguished", "w_alpha w_beta theta_alpha theta_beta sigma_beta"
+)
 
 
 def dn_distinguished(ctx: WeylGroupContext) -> DnDistinguished:

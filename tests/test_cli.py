@@ -1,10 +1,14 @@
 """CLI surface: text layouts, JSON round trips, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import egd
 from egd.cli import main
 
 
@@ -595,3 +599,31 @@ def test_readme_examples_match_golden_output(capsys):
         code, out, _ = run(capsys, *example.split()[1:])
         want = golden[example]
         assert (code, out) == (want["rc"], want["stdout"]), example
+
+
+# -- start-up ------------------------------------------------------------------
+
+
+def _python(*args):
+    """Run a fresh interpreter on the egd sources this test imports."""
+    env = {**os.environ, "PYTHONPATH": str(Path(egd.__file__).parent.parent)}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_cli_import_loads_no_dataclasses_or_json():
+    # records are named tuples and --json imports json on demand
+    proc = _python(
+        "-S", "-c",
+        "import sys, egd.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'json'} & set(sys.modules)))",
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_cli_json_output_parses_in_a_fresh_process():
+    proc = _python("-S", "-m", "egd.cli", "mdpairs", "D4", "all", "--json")
+    assert proc.returncode == 0 and proc.stderr == ""
+    record = json.loads(proc.stdout)
+    assert record["degree"] == 6 and len(record["mdpairs"]) == 6

@@ -8,9 +8,11 @@ import pytest
 from egd import (
     DynkinSpec,
     MarkedDiagram,
+    MdPair,
     bruhat_leq,
     classify_md_pairs,
     closed_form_ed,
+    codims,
     decompose,
     dn_distinguished,
     effective_divisibility,
@@ -32,6 +34,7 @@ from egd.errors import (
     EgdError,
     EmptyMarkedSet,
     Infeasible,
+    InvalidRank,
     NotTypeD,
 )
 
@@ -623,3 +626,74 @@ def test_sweep_agrees_with_oracle_only_pipeline(family, rank):
                 effective_divisibility(md, "brute_force").value
                 == _oracle_only_ed(spec, frozenset(marked))
             )
+
+
+# -- record types ---------------------------------------------------------------
+
+
+def _records():
+    """One record of each type: spec, marked diagram, pair, results, decomposition data."""
+    md = MarkedDiagram.parse("D4", "all")
+    result = effective_divisibility(md, "both")
+    (pair,) = classify_md_pairs(md.spec, [result.witness], jset=md.parabolic_set)
+    ctx = get_context(md.spec)
+    w = ctx.from_word([4, 2, 3, 1, 2, 4, 1, 2, 1])
+    dec = decompose(ctx, w, {2, 3})
+    return [
+        md.spec,
+        md,
+        pair,
+        result,
+        morphism_constancy(9, MarkedDiagram.parse("D4", "2")),
+        dec,
+        codims(ctx, w, {2, 3}, dec),
+        dn_distinguished(ctx),
+    ]
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_records_compare_hash_and_refuse_assignment(index):
+    record = _records()[index]
+    twin = _records()[index]
+    assert record == twin and hash(record) == hash(twin)
+    # the hash is the tuple hash of the fields, so cache keys are unchanged
+    assert hash(record) == hash(tuple(record))
+    assert record != record._replace(**{record._fields[-1]: "changed"})
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+def test_records_keep_their_types_through_replace():
+    pair = _records()[2]
+    assert type(pair) is MdPair and pair.tags
+    assert type(pair._replace(tags=frozenset())) is MdPair
+
+
+def test_record_construction_still_validates():
+    with pytest.raises(InvalidRank) as exc:
+        DynkinSpec("Q", 3)
+    assert str(exc.value) == "unknown family 'Q'"
+    with pytest.raises(InvalidRank) as exc:
+        DynkinSpec("A", 0)
+    assert str(exc.value) == "family A needs rank >= 1, got 0"
+    with pytest.raises(EgdError) as exc:
+        MarkedDiagram(DynkinSpec("D", 4), {9})
+    assert str(exc.value) == "marked nodes [9] outside diagram D4"
+
+
+def test_md_pair_tags_default_to_empty():
+    pair = MdPair(DynkinSpec("A", 2), (1,), (2,), 1, 1, 2)
+    assert pair.tags == frozenset()
+    assert pair.record()["tags"] == []
+
+
+def test_ed_result_repr_is_pinned():
+    result = effective_divisibility(MarkedDiagram.parse("D4", "all"), "both")
+    assert repr(result) == (
+        "EdResult(value=5, method='both', witness=MdPair(spec=DynkinSpec(family='D', "
+        "rank=4), word_v=(1, 2, 3), word_u=(2, 3, 2, 4, 2, 1, 3, 2, 4), len_v=3, "
+        "codim_u=3, degree=6, tags=frozenset()), closed_form=5, brute_force=5, "
+        "capped=False)"
+    )

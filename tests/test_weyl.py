@@ -15,7 +15,13 @@ from egd import (
     parse_word,
     format_word,
 )
-from egd.dynkin import _RANK_BOUNDS, cartan_matrix, degrees, opposition
+from egd.dynkin import (
+    _RANK_BOUNDS,
+    cartan_matrix,
+    degrees,
+    num_positive_roots,
+    opposition,
+)
 from egd.errors import BadLetter, ContextMismatch, InvalidRank
 from test_bruhat import spec_and_words
 
@@ -410,6 +416,12 @@ DEGREE_SPECS = [
 def test_degrees_by_type_match_component_walk(spec):
     # W reads its degrees off its type; W_J, here on every node, by component
     assert degrees(spec) == degrees(spec, spec.nodes)
+
+
+@pytest.mark.parametrize("spec", DEGREE_SPECS, ids=str)
+def test_root_count_closed_form_matches_degrees(spec):
+    # N of W from its type alone equals the sum of d - 1 over its degrees
+    assert num_positive_roots(spec) == sum(d - 1 for d in degrees(spec))
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
