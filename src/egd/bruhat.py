@@ -6,8 +6,9 @@ pair on the chain has the same answer, so the whole chain is memoized in
 the context cache under the int key (v.id << 32) | u.id.  Each step reads
 su and sv from the elements' left-product caches, so a product s_i * w is
 computed once per element however many comparisons pass through it.  It
-is the library comparison; the degree sweep uses the coset orders below,
-and an exhaustive subword scan is kept as an independent test oracle.
+is the library comparison and the sweep's pair-by-pair path; the sweep
+otherwise uses the coset orders below (Orbits.violations), and an
+exhaustive subword scan is kept as an independent test oracle.
 
 The weight layer needs no root system.  One Orbits object per spec, built
 from the Cartan matrix and sigma = -w_0 on nodes (dynkin), holds a strata
@@ -44,6 +45,11 @@ i outside J.
 - Coset rows (P_i(x), i outside J) are one family the walk fills: the row
   of s_j x is act_j of the row of x.
 Coset orders are built only when a sweep asks for coset rows.
+Orbits.violations is the sweep's one comparison method on the weight
+layer: it yields, per failing v of a stratum, the indices of the u it is
+not below, and it alone knows the coset-row layout (one coset id per node
+outside J, ascending).  A windowed or threshold comparison would be
+another method of this shape.
 """
 
 from __future__ import annotations
@@ -193,6 +199,15 @@ class _Strata:
         return self.layer.peel(self.layer.antipode(mu) if dual else mu)
 
 
+def _misses(row, masks, ups) -> list[int]:
+    """Per node outside J, the cosets of a u-stratum not above v's coset.
+
+    ``row`` is v's coset row, ``masks`` the u-stratum's coset bitsets and
+    ``ups`` the up-set tables, one per node: one AND per node.
+    """
+    return [mask & ~up[c] for mask, up, c in zip(masks, ups, row)]
+
+
 class Orbits:
     """The weight layer of one diagram: strata stores per J, coset orders per node.
 
@@ -290,6 +305,33 @@ class Orbits:
         if masks[l] is None:
             masks[l] = [sum(1 << c for c in set(column)) for column in zip(*rows)]
         return masks[l]
+
+    def violations(self, jset: frozenset[int], len_v: int, len_u: int):
+        """(k_v, sorted k_u) for each v of stratum len_v of W^J not below some u of stratum len_u.
+
+        By Deodhar's criterion each v costs one AND per node outside J
+        against the u-stratum's coset bitsets (_misses); the u of a failing
+        v are decoded from its missed cosets.  Indices are stratum order.
+        """
+        ups = [self.coset_order(i).up for i in self.spec.nodes if i not in jset]
+        masks = self.masks(jset, len_u)
+        holders = None  # per node outside J: coset -> indices of the u in it
+        for k_v, row in enumerate(self.cosets(jset, len_v)):
+            misses = _misses(row, masks, ups)
+            if not any(misses):
+                continue
+            if holders is None:
+                holders = [{} for _ in ups]
+                for k, u_row in enumerate(self.cosets(jset, len_u)):
+                    for held, c in zip(holders, u_row):
+                        held.setdefault(c, []).append(k)
+            hit = set()
+            for held, miss in zip(holders, misses):
+                while miss:
+                    low = miss & -miss
+                    hit.update(held[low.bit_length() - 1])
+                    miss ^= low
+            yield k_v, sorted(hit)
 
 
 @lru_cache(maxsize=None)

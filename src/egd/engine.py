@@ -12,9 +12,12 @@ lands in a zero group.  Degree dim + 1 always fails, so a sweep with no
 violation up to the dimension is capped there and lists the pairs of
 degree dim + 1.
 
-Comparisons use Deodhar's criterion, not the descent recursion: v <= u
-in W^J iff P_i(v) <= P_i(u) in the maximal quotient W^{S - {i}} for
-every marked node i.  Each v of a degree bucket costs one bitset AND per
+The sweep of a degree is one loop over its buckets l(v); each bucket is
+compared by one generator of (v index, [u index, ...]) pairs, and the
+loop peels the words of what it yields.  The generator is
+bruhat.Orbits.violations, by Deodhar's criterion rather than the descent
+recursion: v <= u in W^J iff P_i(v) <= P_i(u) in the maximal quotient
+W^{S - {i}} for every marked node i, so each v costs one bitset AND per
 marked node against the cosets of the u-stratum, and the u of a
 violation are decoded only where a v fails.  The strata are weights and
 coset rows (bruhat.orbits, one per spec) and a listed pair holds the
@@ -23,10 +26,10 @@ builds no root system.  Type-D tags are read off weights too: a pair
 pulls back from D(r) by a length test on x(omega_r) (classify_md_pairs).
 A WeylGroupContext is built only for MdPair.u and MdPair.v and for the
 pair-by-pair path.  A marked node whose maximal quotient exceeds
-MAX_COSETS gets no coset order: such a marked set is compared pair by
-pair with bruhat_leq on whole strata of elements, and its full sweep is
-refused before anything is built when no closed form bounds where it
-stops.
+MAX_COSETS gets no coset order: such a marked set is compared by
+_pairwise, with bruhat_leq on whole strata of elements, and its full
+sweep is refused before anything is built when no closed form bounds
+where it stops.
 
 Maximal quotients suffice: with Q_r = W^{S - {r}}, ed(D(R)) is the
 minimum of ed(D(r)) over r in R, and the md pairs of D(R) are lifts of
@@ -52,10 +55,11 @@ Admission: every refusal is decided before any context is built, from the
 spec and the degree table alone.  dynkin checks node ranges, letters and
 stratum lengths and counts |W|, N and dim G/P_J; the size limits below
 (roots, budget, cosets, stratum entries) are checked here, in a fixed
-order, so an input bad in two ways always gets the same refusal.  The
-root count comes first, so neither J nor |W^J| is formed past it; a
-closed-form request consults no limit, and "both" falls back to the
-closed form whenever the sweep is refused.
+order, so an input bad in two ways always gets the same refusal.  A
+refusal raises Infeasible (_roots, _infeasibility).  The root count
+comes first, so neither J nor |W^J| is formed past it; a closed-form
+request consults no limit, and "both" catches the sweep's refusal and
+falls back to the closed form where there is one.
 
 Closed forms: A_n(R) = n, B_n(R) = C_n(R) = 2n-1, D_n(R) = 2n-3 when R
 meets {1, n-1, n} and 2n-2 otherwise; complete flags of G2, F4, E6 give
@@ -66,7 +70,7 @@ route for the remaining exceptional quotients.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .bruhat import (
     bruhat_leq,
@@ -106,19 +110,14 @@ MAX_COSETS = 100_000
 _context_cache: dict[DynkinSpec, WeylGroupContext] = {}
 
 
-def _too_many_roots(spec: DynkinSpec) -> str | None:
-    """Why spec is refused, from the degrees alone, if it has over MAX_POSITIVE_ROOTS."""
+def _roots(spec: DynkinSpec) -> int:
+    """N of spec, from the degrees alone; Infeasible over MAX_POSITIVE_ROOTS."""
     roots = num_positive_roots(spec)
     if roots > MAX_POSITIVE_ROOTS:
-        return f"{spec} has {roots} positive roots, over the limit of {MAX_POSITIVE_ROOTS}"
-    return None
-
-
-def _roots(spec: DynkinSpec) -> int:
-    """N of spec; Infeasible over MAX_POSITIVE_ROOTS."""
-    if refusal := _too_many_roots(spec):
-        raise Infeasible(refusal)
-    return num_positive_roots(spec)
+        raise Infeasible(
+            f"{spec} has {roots} positive roots, over the limit of {MAX_POSITIVE_ROOTS}"
+        )
+    return roots
 
 
 def get_context(spec: DynkinSpec) -> WeylGroupContext:
@@ -141,8 +140,7 @@ class MarkedDiagram(namedtuple("MarkedDiagram", "spec marked")):
     __slots__ = ()
 
     def __new__(cls, spec: DynkinSpec, marked: frozenset[int]):
-        spec.check_nodes(marked, "marked nodes")
-        return super().__new__(cls, spec, marked)
+        return super().__new__(cls, spec, spec.check_nodes(marked, "marked nodes"))
 
     @property
     def parabolic_set(self) -> frozenset[int]:
@@ -229,8 +227,8 @@ def _oversize_cosets(spec: DynkinSpec, jset: frozenset[int]) -> str | None:
     return None
 
 
-def _infeasibility(md: MarkedDiagram, budget: int) -> str | None:
-    """Why the full sweep of md is refused before anything is built, if it is.
+def _infeasibility(md: MarkedDiagram, budget: int) -> None:
+    """Infeasible, before anything is built, if the full sweep of md is refused.
 
     The root count comes first: it bounds |W^J|, which is not counted past
     it.  A marked set with a node over MAX_COSETS is swept pair by pair,
@@ -240,15 +238,13 @@ def _infeasibility(md: MarkedDiagram, budget: int) -> str | None:
     refused.  J is formed only once the root count is admitted.
     """
     spec = md.spec
-    if refusal := _too_many_roots(spec):
-        return refusal
+    _roots(spec)
     jset = md.parabolic_set
     size = quotient_size(spec, jset)
     if size > budget:
-        return f"W^J of {spec} has {size} elements, over the budget of {budget}"
-    if closed_form_ed(md) is None:
-        return _oversize_cosets(spec, jset)
-    return None
+        raise Infeasible(f"W^J of {spec} has {size} elements, over the budget of {budget}")
+    if closed_form_ed(md) is None and (refusal := _oversize_cosets(spec, jset)):
+        raise Infeasible(refusal)
 
 
 def _require_marked(md: MarkedDiagram) -> None:
@@ -260,13 +256,17 @@ def _require_marked(md: MarkedDiagram) -> None:
 # -- degree sweep ------------------------------------------------------------
 
 
-def _misses(row, masks, ups) -> list[int]:
-    """Per marked node, the cosets of a u-stratum not above v's coset.
+def _pairwise(spec: DynkinSpec, jset: frozenset[int], len_v: int, len_u: int):
+    """(k_v, [k_u, ...]) for each v of stratum len_v of W^J not below some u of stratum len_u.
 
-    ``row`` is v's coset row, ``masks`` the u-stratum's coset bitsets and
-    ``ups`` the up-set tables, one per marked node: one AND per node.
+    The shape of Orbits.violations, compared pair by pair with bruhat_leq
+    on the strata of the shared context.  Indices are stratum order.
     """
-    return [mask & ~up[c] for mask, up, c in zip(masks, ups, row)]
+    ctx = get_context(spec)
+    us = quotient_stratum(ctx, jset, len_u)
+    for k_v, v in enumerate(quotient_stratum(ctx, jset, len_v)):
+        if hit := [k_u for k_u, u in enumerate(us) if not bruhat_leq(ctx, v, u)]:
+            yield k_v, hit
 
 
 def _sweep_degree(
@@ -277,52 +277,24 @@ def _sweep_degree(
     x -> w_0 x w_{0J} reverses the Bruhat order on W^J and swaps l(v) with
     c^J(u), so (v, u) violates iff (w_0 u w_{0J}, w_0 v w_{0J}) does: the
     half l(v) <= c^J(u) holds a violation of degree s whenever one exists,
-    for every J.  By Deodhar's criterion v <= u iff P_i(v) <= P_i(u) for
-    every marked node i, so each v is decided by one AND per marked node
-    against the bitset of the u-stratum's cosets (_misses); the u of a
-    violated v are decoded from the missed cosets, and their canonical
-    words are peeled off the weights: no group element is built.  A marked
-    set with a node over MAX_COSETS is compared pair by pair with
-    bruhat_leq in the shared context instead; its words are peeled off the
-    weights too.  Pairs come in bucket order:
-    l(v) ascending, then stratum order of v and of u.
+    for every J.  Each bucket l(v) is compared by one generator of
+    (k_v, [k_u, ...]) pairs: Orbits.violations on coset orders, or
+    _pairwise with bruhat_leq for a marked set with a node over MAX_COSETS
+    (_oversize_cosets).  The canonical words of the pairs it yields are
+    peeled off the weights, each u once per bucket.  Pairs come in bucket
+    order: l(v) ascending, then stratum order of v and of u.
     """
     dim = dimension(spec, jset)
-    if _oversize_cosets(spec, jset):
-        ctx, store = get_context(spec), orbits(spec).store(jset, 0)
-        return [
-            (len_v, store.word(len_v, k_v), store.word(dim - s + len_v, k_u))
-            for len_v in range(max(1, s - dim), s // 2 + 1)
-            for k_v, v in enumerate(quotient_stratum(ctx, jset, len_v))
-            for k_u, u in enumerate(quotient_stratum(ctx, jset, dim - s + len_v))
-            if not bruhat_leq(ctx, v, u)
-        ]
     orbs = orbits(spec)
-    ups = [orbs.coset_order(i).up for i in spec.nodes if i not in jset]
+    store = orbs.store(jset, 0)
+    compare = partial(_pairwise, spec) if _oversize_cosets(spec, jset) else orbs.violations
     out: list[tuple[int, Word, Word]] = []
     for len_v in range(max(1, s - dim), s // 2 + 1):
         len_u = dim - (s - len_v)
-        masks = orbs.masks(jset, len_u)
-        holders = None  # per marked node: coset -> indices of the u in it
         words_u: dict[int, Word] = {}
-        for k_v, row in enumerate(orbs.cosets(jset, len_v)):
-            misses = _misses(row, masks, ups)
-            if not any(misses):
-                continue
-            if holders is None:
-                holders = [{} for _ in ups]
-                for k, u_row in enumerate(orbs.cosets(jset, len_u)):
-                    for held, c in zip(holders, u_row):
-                        held.setdefault(c, []).append(k)
-            hit = set()
-            for held, miss in zip(holders, misses):
-                while miss:
-                    low = miss & -miss
-                    hit.update(held[low.bit_length() - 1])
-                    miss ^= low
-            store = orbs.strata[jset]
+        for k_v, hit in compare(jset, len_v, len_u):
             word_v = store.word(len_v, k_v)
-            for k in sorted(hit):
+            for k in hit:
                 if k not in words_u:
                     words_u[k] = store.word(len_u, k)
                 out.append((len_v, word_v, words_u[k]))
@@ -389,10 +361,11 @@ def effective_divisibility(
             raise Infeasible(f"no closed form for {md.label()}")
         return EdResult(cf, "closed_form", None, cf, None, False)
 
-    blocked = _infeasibility(md, budget)
-    if blocked and (mode == "brute_force" or cf is None):
-        raise Infeasible(blocked)
-    if blocked:
+    try:
+        _infeasibility(md, budget)
+    except Infeasible:
+        if mode == "brute_force" or cf is None:
+            raise
         return EdResult(cf, "closed_form", None, cf, None, False)
 
     bf, capped, pairs = _brute_ed(md.spec, md.parabolic_set)
@@ -423,8 +396,7 @@ def md_pairs(
     are the ones the degree sweep found at its failing degree ed + 1.
     """
     _require_marked(md)
-    if blocked := _infeasibility(md, budget):
-        raise Infeasible(blocked)
+    _infeasibility(md, budget)
     jset = md.parabolic_set
     dim = dimension(md.spec, jset)
     if degree is not None and not 0 <= degree <= dim + 1:
@@ -469,13 +441,14 @@ def _resolve_ed(side, *, budget: int):
     sides of a morphism are checked before either builds a context.
     """
     if isinstance(side, int):
+        if side < 0:
+            raise EgdError(f"an ed value must be at least 0, got {side}")
         return lambda: (side, f"ed={side}")
     _require_marked(side)
     cf = closed_form_ed(side)
     if cf is not None:
         return lambda: (cf, side.label())
-    if blocked := _infeasibility(side, budget):
-        raise Infeasible(blocked)
+    _infeasibility(side, budget)
     return lambda: (
         effective_divisibility(side, "brute_force", budget=budget).value,
         side.label(),

@@ -155,6 +155,7 @@ def test_recursion_matches_oracle_on_fresh_and_warm_contexts(case):
 
 
 def test_sweep_computes_each_left_product_once(monkeypatch):
+    import egd.bruhat
     import egd.engine
 
     monkeypatch.setattr(egd.engine, "_context_cache", {})
@@ -164,7 +165,7 @@ def test_sweep_computes_each_left_product_once(monkeypatch):
     tests = Counter()  # (degree, coset row of v, marked node) -> up-set tests
     sweeps = Counter()  # degree -> sweeps
     multiply, from_word = WeylGroupContext.multiply, WeylGroupContext.from_word
-    sweep, misses = egd.engine._sweep_degree, egd.engine._misses
+    sweep, misses = egd.engine._sweep_degree, egd.bruhat._misses
     degree = [None]
 
     def counting_multiply(self, x, y):
@@ -188,9 +189,10 @@ def test_sweep_computes_each_left_product_once(monkeypatch):
 
     monkeypatch.setattr(WeylGroupContext, "multiply", counting_multiply)
     monkeypatch.setattr(WeylGroupContext, "from_word", counting_from_word)
-    # the engine's module globals, the names the sweep goes through
+    # the module globals the sweep goes through: the engine's loop and the
+    # comparison method's per-v test in bruhat
     monkeypatch.setattr(egd.engine, "_sweep_degree", counting_sweep)
-    monkeypatch.setattr(egd.engine, "_misses", counting_misses)
+    monkeypatch.setattr(egd.bruhat, "_misses", counting_misses)
     result = effective_divisibility(md, "brute_force")
     assert result.value == 7
     # strata grow on weights and pairs are decided on coset rows: no product

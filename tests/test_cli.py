@@ -203,8 +203,9 @@ def test_out_of_range_nodes_listed_sorted(capsys, argv):
         ("mdpairs", "A3", "all", "--classify"),
         # the target is checked before the source's sweep builds E7
         ("morphism", "E7:1,2", "D4:none"),
-        # a bare ed value is a source only
+        # a bare ed value is a source only, and never negative
         ("morphism", "D4:2", "7"),
+        ("morphism", "-3", "D4:2"),
     ],
 )
 def test_bad_workers_and_budget_rejected_before_build(capsys, monkeypatch, argv):

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import re
 
 import pytest
 
@@ -28,7 +29,7 @@ from egd import (
 )
 from egd.bruhat import orbits, quotient_stratum
 from egd.dynkin import dimension, quotient_size
-from egd.engine import _brute_ed, _sweep_degree
+from egd.engine import DEFAULT_BUDGET, _brute_ed, _infeasibility, _sweep_degree
 from egd.errors import (
     DegreeOutOfRange,
     EgdError,
@@ -191,6 +192,22 @@ def test_infeasibility_gates():
     # big diagram with a closed form still answers in both mode
     res = effective_divisibility(flag("D9"), "both")
     assert res.method == "closed_form" and res.value == 15
+    # the gate itself raises, one refusal per kind, in its fixed order
+    gates = [
+        ("A200", "1", DEFAULT_BUDGET, "A200 has 20100 positive roots, over the limit of 5050"),
+        ("D5", "all", 10, "W^J of D5 has 1920 elements, over the budget of 10"),
+        ("E8", "4", DEFAULT_BUDGET,
+         "node 4 of E8 has 483840 cosets, over the coset-order limit of 100000"),
+        ("E8", "5", DEFAULT_BUDGET,
+         "node 5 of E8 has 241920 cosets, over the coset-order limit of 100000"),
+    ]
+    for diagram, marked, budget, message in gates:
+        with pytest.raises(Infeasible, match=f"^{re.escape(message)}$"):
+            _infeasibility(MarkedDiagram.parse(diagram, marked), budget)
+    assert _infeasibility(flag("D5"), DEFAULT_BUDGET) is None
+    # "both" catches the refusal and falls back to the closed form
+    res = effective_divisibility(MarkedDiagram.parse("A200", "1"), "both")
+    assert res.method == "closed_form" and res.value == 200
 
 
 def test_md_pairs_a2():
@@ -586,6 +603,13 @@ def test_morphism_with_supplied_ed():
     assert v.verdict == "inconclusive"
 
 
+def test_morphism_rejects_negative_ed_value():
+    target = MarkedDiagram.parse("D4", "2")
+    with pytest.raises(EgdError, match="^an ed value must be at least 0, got -3$"):
+        morphism_constancy(-3, target)
+    assert morphism_constancy(0, target).verdict == "inconclusive"
+
+
 def test_morphism_infeasible_target():
     with pytest.raises(Infeasible):
         morphism_constancy(MarkedDiagram.parse("A3", "1"), MarkedDiagram.parse("E7", "all"))
@@ -681,6 +705,17 @@ def test_record_construction_still_validates():
     with pytest.raises(EgdError) as exc:
         MarkedDiagram(DynkinSpec("D", 4), {9})
     assert str(exc.value) == "marked nodes [9] outside diagram D4"
+
+
+def test_marked_diagram_stores_a_frozenset():
+    spec = DynkinSpec("D", 4)
+    md = MarkedDiagram(spec, {1})
+    assert md == MarkedDiagram(spec, frozenset({1}))
+    assert hash(md) == hash(MarkedDiagram(spec, frozenset({1})))
+    assert repr(md) == (
+        "MarkedDiagram(spec=DynkinSpec(family='D', rank=4), marked=frozenset({1}))"
+    )
+    assert effective_divisibility(md, "both").value == 5
 
 
 def test_md_pair_tags_default_to_empty():
