@@ -93,9 +93,12 @@ from .parabolic import decompose, require_type_d  # perfbench traces engine.deco
 from .weyl import WeylElement, WeylGroupContext, Word, build_group, parse_word
 
 DEFAULT_BUDGET = 10**6
-# Largest group built: A100 (5,050 positive roots) builds in about 0.3 s,
-# and `ed A100 1` runs in about 0.5 s at 44 MB peak RSS (figures here: one
-# CLI run, Python 3.11 on 2 cores).
+# Largest group whose context is built, by `strata`, `decompose`, the
+# pair-by-pair sweep and `MdPair.u` / `.v`: A100 (5,050 positive roots)
+# builds in about 0.12 s, B71, C71 and D71 in about 0.09-0.13 s, and
+# `decompose A100 1,2,3,4,5,6,7 1` runs in about 0.3 s at 33 MB peak RSS.
+# `ed A100 1` builds no context: about 0.16 s at 15 MB.  (Python 3.11 on
+# 2 cores.)
 MAX_POSITIVE_ROOTS = 5050
 # Largest stratum `egd strata` builds, in elements times root-permutation
 # width: 10**8 entries hold about 0.8 GB of pointers.

@@ -18,27 +18,30 @@ at most once per element.
 Roots live in the simple-root basis; the reflection in alpha_j maps a root
 with coordinates c to c', where c'_j = c_j - sum_i c_i * cartan[i][j] and
 all other coordinates are unchanged.  One pass closes the simple roots
-under the reflections (s_j permutes the positive roots other than
-alpha_j, which it negates).  Each root carries its pairings with all
-generators, so only the few reflections that move it are applied, and the
-pass records the pairs of roots each s_j exchanges.  Right multiplication
-by s_j is then those swaps plus a sign flip at alpha_j, done in place on a
-plain list: that builds the generators, the longest parabolic elements
-w_{0J} and the value of any word, and only the results are interned, so a
-fresh context holds the identity, the generators and w_0.
+under the reflections that raise them (s_j permutes the positive roots
+other than alpha_j, which it negates).  A root is packed into one int, a
+byte per coordinate, and carries only its nonzero pairings with the
+generators, so a reflection is one subtraction and touches only the
+pairings its Cartan row changes; the pass records the pairs of roots each
+s_j exchanges.  Right multiplication by s_j is then those swaps plus a sign
+flip at alpha_j, done in place on a plain list: that builds the longest
+parabolic elements w_{0J} and the value of any word, and only the results
+are interned.  w_0 needs no product: it is -sigma on the roots, sigma the
+opposition involution of the diagram, a table by type.  So a fresh context
+holds the identity, the generators and w_0.
 
 A product x * y is a table lookup: with table = [0, x(1), ..., x(N),
 -x(N), ..., -x(1)], the image of root k under x * y is table[y(k)], a
 negative index reading -x(|k|).  The tables of the identity and the
-generators are built once per context.
+generators are built once per context, a generator's as the identity's
+with its swaps applied at k and -k; its perm is read off its table.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import neg
+from operator import itemgetter, neg
 
-from .dynkin import DynkinSpec, cartan_matrix
+from .dynkin import DynkinSpec, cartan_matrix, num_positive_roots, opposition
 from .errors import BadLetter, ContextMismatch, InvalidRank
 
 Word = tuple[int, ...]
@@ -119,79 +122,113 @@ class WeylGroupContext:
         self.spec = spec
         self.rank = spec.rank
         self.cartan = cartan_matrix(spec)
-        self.positive_roots, self._swaps = self._close_roots()
+        self.positive_roots, self._swaps, w0 = self._close_roots()
         self.num_positive_roots = len(self.positive_roots)
         self._negated_simple = frozenset(range(-self.rank, 0))
         self._intern: dict[tuple[int, ...], WeylElement] = {}
         self.identity = self._make(tuple(range(1, self.num_positive_roots + 1)))
-        gens = []
-        for i in range(1, self.rank + 1):
-            perm = list(self.identity.perm)
-            self._times_generator(perm, i)
-            gens.append(self._make(tuple(perm)))
-        self.simple_reflections = tuple(gens)
         # tables of ids 0..rank, the identity and the generators (see multiply);
-        # the generators' entries are the identity table's int objects
+        # a generator's table is the identity's, its swaps applied at k and -k,
+        # so its entries are the identity table's int objects
         ident = _table(self.identity.perm)
-        self._tables = [ident] + [list(map(ident.__getitem__, _table(s.perm))) for s in gens]
+        self._tables = [ident]
+        gens = []
+        for j, swaps in enumerate(self._swaps, start=1):
+            table = ident.copy()
+            for k, t in swaps:
+                k += 1
+                t += 1
+                table[k], table[t] = table[t], table[k]
+                table[-k], table[-t] = table[-t], table[-k]
+            table[j], table[-j] = table[-j], table[j]
+            self._tables.append(table)
+            gens.append(self._make(tuple(table[1 : self.num_positive_roots + 1])))
+        self.simple_reflections = tuple(gens)
         # keyed by (v.id << 32) | u.id (ids stay below 2**32), see bruhat_leq
         self.bruhat_cache: dict[int, bool] = {}
         # J -> stratum l of W^J as elements at [l], None until built; the
         # weights and coset orders are per spec (bruhat.quotient_stratum)
         self._strata: dict[frozenset[int], list] = {}
-        self._longest_parabolic: dict[frozenset[int], WeylElement] = {}
-        self.longest_element = self.longest_in_parabolic(frozenset(spec.nodes))
-        if self.longest_element.length != self.num_positive_roots:
-            raise InvalidRank(
-                f"internal inconsistency building {spec}: "
-                f"l(w0)={self.longest_element.length} != {self.num_positive_roots} roots"
-            )
+        self.longest_element = self._make(w0)
+        self._longest_parabolic = {frozenset(spec.nodes): self.longest_element}
 
     # -- construction ------------------------------------------------------
 
     def _close_roots(self):
-        """Positive roots in order, and the pairs of root positions each s_j swaps.
+        """Positive roots in order, the pairs of root positions each s_j swaps, and w_0.
 
         Simple roots come first, then the rest by (height, coordinates).
         ``swaps[j - 1]`` lists the 0-based positions (k, t), k < t, of the
         roots s_j exchanges; s_j also negates alpha_j and fixes the rest.
 
-        Each root carries its pairings p_k = sum_i c_i * cartan[i][k] with
-        all generators, so only the s_j with p_j != 0 are applied; the
-        pairings of s_j(c) are p_k - p_j * cartan[j][k], which changes only
-        the few k with cartan[j][k] != 0.
+        A root is packed into one int, a byte per coordinate with alpha_1 in
+        the top byte, so int order is coordinate order and s_j adds
+        -p_j << shift[j] (coefficients are at most 6, in E8).  Each root
+        carries its nonzero pairings p_k = sum_i c_i * cartan[i][k] as a
+        dict; those of s_j(c) are p_k - p_j * cartan[j][k], which changes
+        only the few k with cartan[j][k] != 0.  The closure climbs by
+        height, applying only the s_j with p_j < 0: every positive root
+        is reached from a simple one that way, and each pair s_j exchanges
+        is met once, from its lower root.  The climb stops when no height
+        above is left, or once it has passed the expected number of roots.
+
+        w_0 = -sigma on the roots, sigma the opposition involution of the
+        diagram (dynkin.opposition): w_0 sends root k to minus the position
+        of sigma(root k), so to -k when sigma is the identity.
+
+        Raises InvalidRank unless the closure finds as many roots as the
+        closed form by type, and sigma maps every root to a root.
         """
-        n = self.rank
-        cart = self.cartan
-        rows = [[(k, a) for k, a in enumerate(row) if a] for row in cart]
-        simple = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-        pairings = {r: list(cart[j]) for j, r in enumerate(simple)}
-        moved = [[] for _ in range(n)]  # j -> (root, s_{j+1} root) per root it moves
-        queue = list(simple)
-        while queue:
-            vec = queue.pop()
-            pairing = pairings[vec]
-            for j in compress(range(n), pairing):
-                p = pairing[j]
-                if vec[j] < p:  # vec is alpha_j
-                    continue
-                img = list(vec)
-                img[j] -= p
-                img = tuple(img)
-                moved[j].append((vec, img))
-                if img not in pairings:
-                    new = pairings[img] = pairing.copy()
-                    for k, a in rows[j]:
-                        new[k] -= p * a
-                    queue.append(img)
-        rest = sorted(pairings.keys() - set(simple), key=lambda r: (sum(r), r))
-        roots = tuple(simple + rest)
-        index = {r: k for k, r in enumerate(roots)}
-        swaps = [
-            [(index[a], index[b]) for a, b in pairs if index[a] < index[b]]
-            for pairs in moved
-        ]
-        return roots, swaps
+        spec, n = self.spec, self.rank
+        expected = num_positive_roots(spec)
+        shift = [8 * (n - 1 - j) for j in range(n)]
+        rows = [[(k, a) for k, a in enumerate(row) if a] for row in self.cartan]
+        codes = [1 << b for b in shift]  # the simple roots; then each height, sorted
+        # levels[h] maps the code of each root of height h to its pairings
+        levels = {1: {c: dict(row) for c, row in zip(codes, rows)}}
+        climbs = [[] for _ in range(n)]  # j -> (root, s_{j+1} root), lower root first
+        h = 1
+        while levels:
+            level = levels.pop(h, {})
+            if h > 1:
+                codes += sorted(level)
+                if len(codes) > expected:
+                    break
+            for code, pairing in level.items():
+                for j, p in pairing.items():
+                    if p < 0:
+                        img = code - (p << shift[j])
+                        climbs[j].append((code, img))
+                        above = levels.setdefault(h - p, {})
+                        if img not in above:
+                            new = above[img] = pairing.copy()
+                            for k, a in rows[j]:
+                                v = new.get(k, 0) - p * a
+                                if v:
+                                    new[k] = v
+                                else:
+                                    del new[k]
+            h += 1
+        if len(codes) != expected:
+            raise InvalidRank(
+                f"internal inconsistency building {spec}: "
+                f"{len(codes)} positive roots closed, {expected} expected"
+            )
+        index = {c: k for k, c in enumerate(codes)}
+        swaps = [[(index[a], index[b]) for a, b in pairs] for pairs in climbs]
+        roots = tuple(tuple(c.to_bytes(n, "big")) for c in codes)
+        sigma = opposition(spec)
+        if sigma == spec.nodes:
+            return roots, swaps, tuple(range(-1, -expected - 1, -1))
+        image = itemgetter(*(i - 1 for i in sigma))
+        try:
+            w0 = tuple([-1 - index[int.from_bytes(bytes(image(r)), "big")] for r in roots])
+        except KeyError:
+            raise InvalidRank(
+                f"internal inconsistency building {spec}: "
+                f"the opposition {sigma} maps a positive root outside the roots"
+            ) from None
+        return roots, swaps, w0
 
     def _times_generator(self, perm: list[int], i: int) -> None:
         """perm <- perm * s_i, in place."""

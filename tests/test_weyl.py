@@ -377,7 +377,11 @@ TABLE_SPECS = (
 )
 
 
-@pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
+# A33 and D33 pack a root into more than 32 bytes, and D33 has a
+# nontrivial opposition; G2 and E8 reach coefficients 3 and 6
+@pytest.mark.parametrize(
+    "spec", TABLE_SPECS + [DynkinSpec("A", 33), DynkinSpec("D", 33)], ids=str
+)
 def test_context_tables_match_dense_reference(spec):
     ctx = build_group(spec)
     roots, gens, w0 = dense_reference(cartan_matrix(spec))
@@ -397,12 +401,28 @@ OPPOSITION_SPECS = (
 
 @pytest.mark.parametrize("spec", OPPOSITION_SPECS, ids=str)
 def test_opposition_table_matches_longest_element(spec):
-    # sigma, a table by type that the sweep reads, against -w_0 on the
-    # simple roots of the built longest element
-    ctx = get_context(spec)
-    assert [k - 1 for k in opposition(spec)] == [
-        -ctx.longest_element.perm[k] - 1 for k in range(spec.rank)
-    ]
+    # sigma, a table by type that the sweep and the context build read,
+    # against -w_0 on the simple roots of a w_0 composed from the generators
+    _, _, w0 = dense_reference(cartan_matrix(spec))
+    assert [k - 1 for k in opposition(spec)] == [-w0[k] - 1 for k in range(spec.rank)]
+
+
+def test_context_build_checks_root_count_and_opposition(monkeypatch):
+    a3 = DynkinSpec("A", 3)
+    # the matrix of A3 closes to 6 roots, not the 9 of B3
+    monkeypatch.setattr("egd.weyl.cartan_matrix", lambda spec: cartan_matrix(a3))
+    with pytest.raises(InvalidRank, match="6 positive roots closed, 9 expected"):
+        build_group(DynkinSpec("B", 3))
+    # an affine matrix has infinitely many roots: the closure stops past 6
+    affine = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+    monkeypatch.setattr("egd.weyl.cartan_matrix", lambda spec: affine)
+    with pytest.raises(InvalidRank, match="positive roots closed, 6 expected"):
+        build_group(a3)
+    monkeypatch.undo()
+    # sigma = (2, 1, 3) sends alpha_2 + alpha_3 to alpha_1 + alpha_3, no root
+    monkeypatch.setattr("egd.weyl.opposition", lambda spec: (2, 1, 3))
+    with pytest.raises(InvalidRank, match="opposition"):
+        build_group(a3)
 
 
 DEGREE_SPECS = [
