@@ -58,7 +58,10 @@ from functools import lru_cache
 
 from .dynkin import DynkinSpec, cartan_matrix, check_length, dimension, opposition
 from .errors import ContextMismatch, NonReducedInput
-from .weyl import WeylElement, WeylGroupContext, Word
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing
+if TYPE_CHECKING:  # the weight layer loads no root system: weyl is imported where used
+    from .weyl import WeylElement, WeylGroupContext, Word
 
 
 def bruhat_leq(ctx: WeylGroupContext, v: WeylElement, u: WeylElement) -> bool:
@@ -144,10 +147,12 @@ class _Strata:
     Element k of stratum l > dim/2 is w_0 x w_{0J}, x element k of stratum
     dim - l.  ``walk`` fills any per-element family from these records;
     ``rows`` and ``masks`` (coset rows and per-node coset bitsets of a
-    stratum) are filled on first use.
+    stratum) are filled on first use, ``ups`` (the up-set tables of the
+    nodes outside J) on the first comparison.  Strata are grown up to
+    depth ``grown``.
     """
 
-    __slots__ = ("dim", "layer", "weights", "parents", "rows", "masks")
+    __slots__ = ("dim", "layer", "weights", "parents", "rows", "masks", "ups", "grown")
 
     def __init__(self, layer: "Orbits", jset: frozenset[int]):
         self.dim = dim = dimension(layer.spec, jset)
@@ -155,19 +160,21 @@ class _Strata:
         self.weights = [[tuple(int(i not in jset) for i in layer.spec.nodes)]] + [None] * dim
         self.parents = [None] * (dim + 1)
         self.rows, self.masks = [None] * (dim + 1), [None] * (dim + 1)
+        self.ups = None
+        self.grown = 0
 
     def grow(self, l: int) -> None:
         """Grow strata up to min(l, dim - l): mu has the children s_j(mu), mu_j > 0."""
         weights, reflect = self.weights, self.layer.reflect
-        for depth in range(1, min(l, self.dim - l) + 1):
-            if weights[depth] is None:  # set parents first: readers test weights
-                children: dict = {}
-                for b, mu in enumerate(weights[depth - 1]):
-                    for j, p in enumerate(mu):
-                        if p > 0:
-                            children.setdefault(reflect(mu, j), (b, j))
-                self.parents[depth] = list(children.values())
-                weights[depth] = list(children)
+        for depth in range(self.grown + 1, min(l, self.dim - l) + 1):
+            children: dict = {}
+            for b, mu in enumerate(weights[depth - 1]):
+                for j, p in enumerate(mu):
+                    if p > 0:
+                        children.setdefault(reflect(mu, j), (b, j))
+            self.parents[depth] = list(children.values())
+            weights[depth] = list(children)
+            self.grown = depth
 
     def walk(self, l: int, levels: list, bottom, top, step) -> list:
         """Fill stratum l of a per-element family ``levels`` from the records; return it.
@@ -313,8 +320,11 @@ class Orbits:
         against the u-stratum's coset bitsets (_misses); the u of a failing
         v are decoded from its missed cosets.  Indices are stratum order.
         """
-        ups = [self.coset_order(i).up for i in self.spec.nodes if i not in jset]
         masks = self.masks(jset, len_u)
+        store = self.strata[jset]
+        if store.ups is None:
+            store.ups = [self.coset_order(i).up for i in self.spec.nodes if i not in jset]
+        ups = store.ups
         holders = None  # per node outside J: coset -> indices of the u in it
         for k_v, row in enumerate(self.cosets(jset, len_v)):
             misses = _misses(row, masks, ups)
@@ -427,6 +437,8 @@ def elements_of_length(ctx: WeylGroupContext, l: int) -> list[WeylElement]:
 
 def quotient_elements_of_length(ctx: WeylGroupContext, jset, l: int) -> list[WeylElement]:
     """Elements of W^J of length exactly l, sorted by canonical word peeled off the weights."""
+    from .weyl import WeylElement
+
     jset = frozenset(jset)
     stratum = quotient_stratum(ctx, jset, l)
     store = orbits(ctx.spec).strata[jset]

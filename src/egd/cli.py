@@ -6,7 +6,8 @@ the JSON record and the text lines.  main checks the shared flags
 (--workers, --budget) before the command runs and prints exactly one of
 the two, so the text and --json outputs come from one record per command.
 Every other check lives in dynkin and engine and runs before any group is
-built.
+built.  Only `strata` and `decompose` import weyl, and only `decompose`
+parabolic (through engine.decompose), inside the command.
 The sweep runs in one process; ``--workers`` and ``--extended`` are
 accepted for compatibility and change nothing.  Exit codes: 0 success,
 2 bad input, 3 infeasible.
@@ -21,6 +22,7 @@ from .dynkin import DynkinSpec
 from .engine import (
     DEFAULT_BUDGET,
     MarkedDiagram,
+    decompose,
     effective_divisibility,
     element_of_word,
     md_pairs,
@@ -28,8 +30,6 @@ from .engine import (
     stratum,
 )
 from .errors import EgdError, Infeasible
-from .parabolic import codims, decompose
-from .weyl import format_word
 
 _MODES = {"closed": "closed_form", "brute": "brute_force", "both": "both"}
 
@@ -93,6 +93,9 @@ def cmd_mdpairs(args):
 
 
 def cmd_decompose(args):
+    from .parabolic import codims
+    from .weyl import format_word
+
     spec = DynkinSpec.parse(args.diagram)
     jset = spec.parse_nodes(args.parabolic)
     w = element_of_word(spec, args.word)
@@ -159,6 +162,8 @@ def cmd_morphism(args):
 
 
 def cmd_strata(args):
+    from .weyl import format_word
+
     spec = DynkinSpec.parse(args.diagram)
     jset = spec.parse_nodes(args.parabolic)
     words = [format_word(e.word()) for e in stratum(spec, jset, args.length)]

@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import prod
 
-from .errors import BadLetter, EgdError, InvalidRank, LengthOutOfRange
+from .errors import BadLetter, EgdError, InvalidRank, LengthOutOfRange, NotTypeD
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -259,6 +259,13 @@ def check_length(l: int, dim: int) -> None:
     """LengthOutOfRange unless a W^J with dim G/P_J = dim has a stratum of length l."""
     if not 0 <= l <= dim:
         raise LengthOutOfRange(f"no stratum of length {l}; W^J has lengths 0..{dim}")
+
+
+def require_type_d(spec: DynkinSpec) -> int:
+    """The rank of a family-D diagram; NotTypeD for any other family."""
+    if spec.family != "D":
+        raise NotTypeD(f"operation needs family D, got {spec}")
+    return spec.rank
 
 
 def group_order(spec: DynkinSpec) -> int:

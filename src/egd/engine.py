@@ -25,11 +25,15 @@ canonical words of v and u, peeled off their weights, so the sweep
 builds no root system.  Type-D tags are read off weights too: a pair
 pulls back from D(r) by a length test on x(omega_r) (classify_md_pairs).
 A WeylGroupContext is built only for MdPair.u and MdPair.v and for the
-pair-by-pair path.  A marked node whose maximal quotient exceeds
-MAX_COSETS gets no coset order: such a marked set is compared by
-_pairwise, with bruhat_leq on whole strata of elements, and its full
-sweep is refused before anything is built when no closed form bounds
-where it stops.
+pair-by-pair path, and weyl is imported only where one is built
+(build_group) or a word is parsed (element_of_word); parabolic is
+imported only by decompose.  So `ed`, `mdpairs` and `morphism` load this
+module, bruhat, dynkin and errors alone unless they sweep pair by pair;
+`strata` loads weyl, and `decompose` weyl and parabolic.
+A marked node whose maximal quotient exceeds MAX_COSETS gets no coset
+order: such a marked set is compared by _pairwise, with bruhat_leq on
+whole strata of elements, and its full sweep is refused before anything
+is built when no closed form bounds where it stops.
 
 Maximal quotients suffice: with Q_r = W^{S - {r}}, ed(D(R)) is the
 minimum of ed(D(r)) over r in R, and the md pairs of D(R) are lifts of
@@ -86,11 +90,14 @@ from .dynkin import (
     is_proper_subdiagram,
     num_positive_roots,
     quotient_size,
+    require_type_d,
     stratum_size,
 )
 from .errors import DegreeOutOfRange, EgdError, EmptyMarkedSet, Infeasible
-from .parabolic import decompose, require_type_d  # perfbench traces engine.decompose
-from .weyl import WeylElement, WeylGroupContext, Word, build_group, parse_word
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing
+if TYPE_CHECKING:
+    from .weyl import WeylElement, WeylGroupContext, Word
 
 DEFAULT_BUDGET = 10**6
 # Largest group whose context is built, by `strata`, `decompose`, the
@@ -111,6 +118,24 @@ MAX_STRATUM_ENTRIES = 10**8
 MAX_COSETS = 100_000
 
 _context_cache: dict[DynkinSpec, WeylGroupContext] = {}
+
+
+# build_group and decompose are module globals that import their module
+# when called, so a coset sweep loads neither weyl nor parabolic, and a
+# tracer or a test can still replace them here (get_context calls
+# build_group, and the CLI's decompose is this one).
+def build_group(spec: DynkinSpec) -> WeylGroupContext:
+    """weyl.build_group: the root system of spec, built from scratch."""
+    from .weyl import build_group
+
+    return build_group(spec)
+
+
+def decompose(ctx: WeylGroupContext, w: WeylElement, jset):
+    """parabolic.decompose: w = w^J * w_J."""
+    from .parabolic import decompose
+
+    return decompose(ctx, w, jset)
 
 
 def _roots(spec: DynkinSpec) -> int:
@@ -508,6 +533,8 @@ def element_of_word(spec: DynkinSpec, text: str) -> WeylElement:
     A group over MAX_POSITIVE_ROOTS, then a word that does not parse or has a
     letter outside 1..rank, is refused before any context is built.
     """
+    from .weyl import parse_word
+
     _roots(spec)
     word = spec.check_word(parse_word(text))
     return get_context(spec).from_word(word)

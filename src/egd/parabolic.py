@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .dynkin import DynkinSpec, dimension, num_positive_roots
-from .errors import NotClassical, NotTypeD
+from .dynkin import DynkinSpec, dimension, num_positive_roots, require_type_d
+from .errors import NotClassical
 from .weyl import WeylElement, WeylGroupContext, Word
 
 
@@ -103,13 +103,6 @@ def is_opposite_pullback(ctx: WeylGroupContext, v: WeylElement, jset) -> bool:
 
 
 # -- distinguished elements in type D ---------------------------------------
-
-
-def require_type_d(spec: DynkinSpec) -> int:
-    """The rank of a family-D diagram; NotTypeD for any other family."""
-    if spec.family != "D":
-        raise NotTypeD(f"operation needs family D, got {spec}")
-    return spec.rank
 
 
 def _theta_word(n: int, kind: str) -> Word:

@@ -28,7 +28,9 @@ flip at alpha_j, done in place on a plain list: that builds the longest
 parabolic elements w_{0J} and the value of any word, and only the results
 are interned.  w_0 needs no product: it is -sigma on the roots, sigma the
 opposition involution of the diagram, a table by type.  So a fresh context
-holds the identity, the generators and w_0.
+holds the identity, the generators and w_0; the identity and the
+generators are interned with their known lengths 0 and 1, and any other
+element's length is counted once, when it is interned.
 
 A product x * y is a table lookup: with table = [0, x(1), ..., x(N),
 -x(N), ..., -x(1)], the image of root k under x * y is table[y(k)], a
@@ -63,11 +65,13 @@ class WeylElement:
 
     __slots__ = ("perm", "length", "ctx", "id", "_hash", "_min_left", "_word", "_left")
 
-    def __init__(self, ctx: "WeylGroupContext", perm: tuple[int, ...], elem_id: int):
+    def __init__(
+        self, ctx: "WeylGroupContext", perm: tuple[int, ...], elem_id: int, length: int
+    ):
         self.ctx = ctx
         self.perm = perm
         self.id = elem_id
-        self.length = sum(map((0).__gt__, perm))
+        self.length = length
         self._hash = hash(perm)
         self._min_left = -1  # not yet computed
         self._word: Word | None = None
@@ -126,7 +130,7 @@ class WeylGroupContext:
         self.num_positive_roots = len(self.positive_roots)
         self._negated_simple = frozenset(range(-self.rank, 0))
         self._intern: dict[tuple[int, ...], WeylElement] = {}
-        self.identity = self._make(tuple(range(1, self.num_positive_roots + 1)))
+        self.identity = self._new(tuple(range(1, self.num_positive_roots + 1)), 0)
         # tables of ids 0..rank, the identity and the generators (see multiply);
         # a generator's table is the identity's, its swaps applied at k and -k,
         # so its entries are the identity table's int objects
@@ -142,7 +146,7 @@ class WeylGroupContext:
                 table[-k], table[-t] = table[-t], table[-k]
             table[j], table[-j] = table[-j], table[j]
             self._tables.append(table)
-            gens.append(self._make(tuple(table[1 : self.num_positive_roots + 1])))
+            gens.append(self._new(tuple(table[1 : self.num_positive_roots + 1]), 1))
         self.simple_reflections = tuple(gens)
         # keyed by (v.id << 32) | u.id (ids stay below 2**32), see bruhat_leq
         self.bruhat_cache: dict[int, bool] = {}
@@ -236,11 +240,16 @@ class WeylGroupContext:
             perm[k], perm[t] = perm[t], perm[k]
         perm[i - 1] = -perm[i - 1]
 
+    def _new(self, perm: tuple[int, ...], length: int) -> WeylElement:
+        """Intern a perm not interned yet, of known length, under the next id."""
+        elem = self._intern[perm] = WeylElement(self, perm, len(self._intern), length)
+        return elem
+
     def _make(self, perm: tuple[int, ...]) -> WeylElement:
+        """The interned element of ``perm``; its length is counted only when it is new."""
         elem = self._intern.get(perm)
         if elem is None:
-            elem = WeylElement(self, perm, len(self._intern))
-            self._intern[perm] = elem
+            elem = self._new(perm, sum(map((0).__gt__, perm)))
         return elem
 
     # -- group operations --------------------------------------------------

@@ -623,6 +623,65 @@ def test_cli_import_loads_no_dataclasses_or_json():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+DECOMPOSE_D5 = ["decompose", "D5", "4,3,5,2,3,4,1,2,3,5,1,2,3,1,2,1", "2,3,4,5"]
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        # the coset sweep, listing, classification and morphism test run on weights
+        (["ed", "A50", "1"], []),
+        (["mdpairs", "D5", "all", "--classify"], []),
+        (["morphism", "D5:1", "A3:1"], []),
+        (["strata", "D4", "3", "2"], ["egd.weyl"]),
+        (DECOMPOSE_D5, ["egd.parabolic", "egd.weyl"]),
+    ],
+    ids=lambda arg: " ".join(arg) or "none",
+)
+def test_commands_load_only_the_modules_they_run(argv, loaded):
+    proc = _python(
+        "-S", "-c",
+        "import sys, egd.cli\n"
+        f"egd.cli.main({argv!r})\n"
+        "print(sorted({'egd.weyl', 'egd.parabolic', 'dataclasses', 'json'} & set(sys.modules)))",
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == str(loaded)
+
+
+# the package's exports when it imported every module eagerly
+EXPORTS = [
+    "BadLetter", "CodimData", "ContextMismatch", "Decomposition", "DegreeOutOfRange",
+    "DnDistinguished", "DynkinSpec", "EdResult", "EgdError", "EmptyMarkedSet", "Infeasible",
+    "InvalidRank", "LengthOutOfRange", "MarkedDiagram", "MdPair", "MorphismVerdict",
+    "NonReducedInput", "NotClassical", "NotTypeD", "WeylElement", "WeylGroupContext", "Word",
+    "bruhat", "bruhat_leq", "build_group", "classify_md_pairs", "closed_form_ed", "codims",
+    "decompose", "dn_distinguished", "dynkin", "effective_divisibility", "elements_of_length",
+    "engine", "errors", "format_word", "get_context", "group_order", "has_egd_up_to",
+    "is_opposite_pullback", "is_proper_subdiagram", "is_schubert_pullback", "longest_in_WJ",
+    "longest_in_quotient", "md_pairs", "morphism_constancy", "parabolic", "parabolic_order",
+    "parse_word", "quotient_dimension", "quotient_elements_of_length", "spinor_coset_words",
+    "stumbo_word", "subword_oracle", "weyl",
+]
+
+
+def test_star_import_binds_every_export_from_its_module():
+    namespace = {}
+    exec("from egd import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == egd.__all__ == dir(egd) == EXPORTS
+    for name, value in namespace.items():
+        if name in egd._EXPORTS:
+            assert value is sys.modules[f"egd.{name}"]
+        else:
+            assert value is getattr(sys.modules[f"egd.{egd._ORIGIN[name]}"], name)
+    # the library's decompose, not the engine's lazy global
+    assert egd.decompose is egd.parabolic.decompose is not egd.engine.decompose
+    assert egd.build_group is egd.weyl.build_group is not egd.engine.build_group
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        getattr(egd, "nonexistent")
+
+
 def test_cli_json_output_parses_in_a_fresh_process():
     proc = _python("-S", "-m", "egd.cli", "mdpairs", "D4", "all", "--json")
     assert proc.returncode == 0 and proc.stderr == ""
