@@ -7,49 +7,49 @@ the context cache under the int key (v.id << 32) | u.id.  Each step reads
 su and sv from the elements' left-product caches, so a product s_i * w is
 computed once per element however many comparisons pass through it.  It
 is the library comparison and the sweep's pair-by-pair path; the sweep
-otherwise uses the coset orders below (Orbits.violations), and an
+otherwise uses the coset orders below (_Strata.violations), and an
 exhaustive subword scan is kept as an independent test oracle.
 
 The weight layer needs no root system.  One Orbits object per spec, built
 from the Cartan matrix and sigma = -w_0 on nodes (dynkin), holds a strata
-store per J and a coset order per node; the sweep reads it directly, and
-every context of the spec reads the same one.  x -> x(lambda_R), lambda_R
-the sum of the fundamental weights omega_i of the nodes i outside J, maps
-W^J onto the orbit W lambda_R: its stabiliser is W_J (Humphreys, Reflection
-Groups and Coxeter Groups, 1.12).  Strata up to dim/2 grow breadth first
+store per J (_Strata); the sweep reads it directly, and every context of
+the spec reads the same one.  x -> x(lambda_R), lambda_R the sum of the
+fundamental weights omega_i of the nodes i outside J, maps W^J onto the
+orbit W lambda_R: its stabiliser is W_J (Humphreys, Reflection Groups and
+Coxeter Groups, 1.12).  Strata up to dim/2 grow breadth first
 on these rank-wide weights: for mu = x(lambda_R), s_j x is in W^J one level
 up iff mu_j > 0, and in x W_J iff mu_j = 0; s_j is a left descent iff
 mu_j < 0.  Each grown weight keeps a record (parent, j).  Stratum l > dim/2
 is the image of stratum dim - l under x -> w_0 x w_{0J}, which reverses the
 Bruhat order on W^J (Bjorner-Brenti, GTM 231, ch. 2); the weight of the
 image is w_0 mu = -sigma(mu).  Every per-element family (coset rows, root
-permutations, the weights of a coset order) is filled from the records by
-one walk (_Strata.walk): up from the identity to dim/2, down from the top
-w_0 w_{0J} above it.  A canonical word is peeled off a weight
-(Orbits.peel), and the projection P_r(x) of a word to the maximal quotient
-W^{S - {r}} is peeled off x(omega_r) (Orbits.projection); root
-permutations are built only by quotient_stratum, one left product per
-element, and kept on the context.
+permutations) is filled from the records by one walk (_Strata.walk): up
+from the identity to dim/2, down from the top w_0 w_{0J} above it.  A
+canonical word is peeled off a weight (Orbits.peel), and the projection
+P_r(x) of a word to the maximal quotient W^{S - {r}} is peeled off
+x(omega_r) (Orbits.projection); root permutations are built only by
+quotient_stratum, one left product per element, and kept on the context.
 
 Coset orders decide the sweep's comparisons by Deodhar's criterion
 (Bjorner-Brenti, GTM 231, section 2.6): for v, u in W^J, v <= u iff
 P_i(v) <= P_i(u) in the maximal quotient Q_i = W^{S - {i}} for every node
 i outside J.
-- Q_i is the W-orbit of omega_i, grown once in the strata store of
-  W^{S - {i}}; its strata read top down number the cosets from the top (0)
-  to the identity coset (|Q_i| - 1).
+- The coset order of node i is the strata store of Q_i, the W-orbit of
+  omega_i (_Strata.order): its strata read top down number the cosets
+  from the top (0) to the identity coset (|Q_i| - 1), the strata above
+  dim/2 read as w_0 of the weights below.
 - Lower covers come from the lifting property: for a left descent s of
   b, they are s*b and s*c for each lower cover c of s*b with s*c > c.
 - Up-sets are int bitsets, OR-ed top down; no bit of the up-set of coset
   a lies above a.
 - Coset rows (P_i(x), i outside J) are one family the walk fills: the row
   of s_j x is act_j of the row of x.
-Coset orders are built only when a sweep asks for coset rows.
-Orbits.violations is the sweep's one comparison method on the weight
-layer: it yields, per failing v of a stratum, the indices of the u it is
-not below, and it alone knows the coset-row layout (one coset id per node
-outside J, ascending).  A windowed or threshold comparison would be
-another method of this shape.
+Coset orders are built only when a sweep asks for coset rows.  The store
+of W^J answers the sweep's comparisons: _Strata.violations yields, per
+failing v of a stratum, the indices of the u it is not below, and the
+store alone knows the coset-row layout (one coset id per node outside J,
+ascending).  A windowed or threshold comparison would be another store
+method of this shape.
 """
 
 from __future__ import annotations
@@ -140,28 +140,33 @@ def quotient_dimension(ctx: WeylGroupContext, jset) -> int:
 
 
 class _Strata:
-    """One W^J by length 0..dim, grown on the weights x(lambda_R).
+    """One W^J by length 0..dim, grown on the weights x(lambda_R), with its comparisons.
 
     ``weights[l]`` (l <= dim/2) lists stratum l's weights in stratum order;
     weight k is s_j of weight b of stratum l - 1 for ``parents[l][k] = (b, j)``.
     Element k of stratum l > dim/2 is w_0 x w_{0J}, x element k of stratum
-    dim - l.  ``walk`` fills any per-element family from these records;
-    ``rows`` and ``masks`` (coset rows and per-node coset bitsets of a
-    stratum) are filled on first use, ``ups`` (the up-set tables of the
-    nodes outside J) on the first comparison.  Strata are grown up to
-    depth ``grown``.
+    dim - l, of weight w_0 mu = -sigma(mu) (``antipode``).  ``walk`` fills
+    any per-element family from these records.  Strata are grown up to
+    depth ``grown``.  ``marked`` lists the nodes outside J, ascending: a
+    coset row holds one coset id per marked node, in that order.  Coset
+    rows and masks of a stratum are filled on first use.
+
+    The store of a maximal quotient W^{S - {i}} is also the coset order of
+    node i once ``order`` has filled ``size``, ``act`` and ``up``.
     """
 
-    __slots__ = ("dim", "layer", "weights", "parents", "rows", "masks", "ups", "grown")
+    __slots__ = ("dim", "layer", "marked", "weights", "parents", "grown", "_rows", "_masks",
+                 "ups", "size", "act", "up")
 
     def __init__(self, layer: "Orbits", jset: frozenset[int]):
         self.dim = dim = dimension(layer.spec, jset)
         self.layer = layer
+        self.marked = [i for i in layer.spec.nodes if i not in jset]
         self.weights = [[tuple(int(i not in jset) for i in layer.spec.nodes)]] + [None] * dim
         self.parents = [None] * (dim + 1)
-        self.rows, self.masks = [None] * (dim + 1), [None] * (dim + 1)
-        self.ups = None
         self.grown = 0
+        self._rows, self._masks = [None] * (dim + 1), [None] * (dim + 1)
+        self.ups = self.size = self.act = self.up = None
 
     def grow(self, l: int) -> None:
         """Grow strata up to min(l, dim - l): mu has the children s_j(mu), mu_j > 0."""
@@ -205,9 +210,98 @@ class _Strata:
         mu = self.weights[self.dim - l if dual else l][k]
         return self.layer.peel(self.layer.antipode(mu) if dual else mu)
 
+    def order(self) -> "_Strata":
+        """Fill the coset order of a maximal quotient Q_i = W^{S - {i}}; return the store.
+
+        Cosets are numbered by the strata read top down: element k of
+        stratum l is coset k plus the number of cosets longer than l, so the
+        top coset is 0, the identity coset size - 1, and lengths do not
+        increase.  ``act[j - 1][c]`` is the coset of s_j * c (c when s_j
+        fixes it), and bit b of ``up[c]`` is set iff coset b >= c.  Called
+        once per node, by Orbits.coset_order.
+        """
+        n, dim, antipode = self.layer.spec.rank, self.dim, self.layer.antipode
+        self.grow(dim // 2)
+        weights = [  # by coset id: the strata top down
+            antipode(mu) if 2 * l > dim else mu
+            for l in range(dim, -1, -1) for mu in self.weights[min(l, dim - l)]
+        ]
+        index = {mu: c for c, mu in enumerate(weights)}
+        reflect = self.layer.reflect
+        self.size = size = len(weights)
+        self.act = act = [  # ids from index: every table shares its int objects
+            [index[reflect(mu, j)] if mu[j] else c for mu, c in index.items()]
+            for j in range(n)
+        ]
+        # lower covers, shortest cosets first: for a left descent s_j of b
+        # (mu_j < 0), covers(b) = {s_j b} + {s_j c : c in covers(s_j b), s_j c > c}
+        covers: list[list[int]] = [[] for _ in range(size)]
+        for b in range(size - 2, -1, -1):  # the identity coset size - 1 has none
+            mu = weights[b]
+            j = next(j for j in range(n) if mu[j] < 0)
+            sj = act[j]
+            down = sj[b]
+            covers[b] = [down] + [sj[c] for c in covers[down] if weights[c][j] > 0]
+        up = [1 << c for c in range(size)]
+        for b in range(size):
+            above = up[b]
+            for c in covers[b]:
+                up[c] |= above
+        self.up = up
+        return self
+
+    def cosets(self, l: int) -> list[tuple[int, ...]]:
+        """Coset rows of stratum l, in stratum order (see quotient_cosets).
+
+        Filling a stratum also sets ``ups``, the up-set tables of the
+        marked nodes' coset orders, which violations reads.
+        """
+        if self._rows[l] is None:  # acts cost a pass per call: only when a level is missing
+            orders = [self.layer.coset_order(i) for i in self.marked]
+            self.ups = [o.up for o in orders]
+            acts = [[o.act[j] for o in orders] for j in range(self.layer.spec.rank)]
+            self.grow(l)
+            self.walk(
+                l, self._rows, tuple(o.size - 1 for o in orders), (0,) * len(orders),
+                lambda row, j: tuple([a[c] for a, c in zip(acts[j], row)]),
+            )
+        return self._rows[l]
+
+    def masks(self, l: int) -> list[int]:
+        """Per marked node, the bitset of the cosets of stratum l."""
+        if self._masks[l] is None:
+            self._masks[l] = [sum(1 << c for c in set(column)) for column in zip(*self.cosets(l))]
+        return self._masks[l]
+
+    def violations(self, len_v: int, len_u: int):
+        """(k_v, sorted k_u) for each v of stratum len_v not below some u of stratum len_u.
+
+        By Deodhar's criterion each v costs one AND per marked node against
+        the u-stratum's coset bitsets (_misses); the u of a failing v are
+        decoded from its missed cosets.  Indices are stratum order.
+        """
+        masks, ups = self.masks(len_u), self.ups
+        holders = None  # per marked node: coset -> indices of the u in it
+        for k_v, row in enumerate(self.cosets(len_v)):
+            misses = _misses(row, masks, ups)
+            if not any(misses):
+                continue
+            if holders is None:
+                holders = [{} for _ in ups]
+                for k, u_row in enumerate(self.cosets(len_u)):
+                    for held, c in zip(holders, u_row):
+                        held.setdefault(c, []).append(k)
+            hit = set()
+            for held, miss in zip(holders, misses):
+                while miss:
+                    low = miss & -miss
+                    hit.update(held[low.bit_length() - 1])
+                    miss ^= low
+            yield k_v, sorted(hit)
+
 
 def _misses(row, masks, ups) -> list[int]:
-    """Per node outside J, the cosets of a u-stratum not above v's coset.
+    """Per marked node, the cosets of a u-stratum not above v's coset.
 
     ``row`` is v's coset row, ``masks`` the u-stratum's coset bitsets and
     ``ups`` the up-set tables, one per node: one AND per node.
@@ -216,7 +310,7 @@ def _misses(row, masks, ups) -> list[int]:
 
 
 class Orbits:
-    """The weight layer of one diagram: strata stores per J, coset orders per node.
+    """The weight layer of one diagram: a strata store per J.
 
     It needs only the Cartan matrix and sigma = -w_0 on nodes (dynkin), so
     the degree sweep runs on it without a WeylGroupContext.  There is one
@@ -225,6 +319,8 @@ class Orbits:
     nonzero (k, a) of alpha_j, row j of the Cartan matrix, and
     s_j(mu) = mu - mu_j * alpha_j.  ``sigma[j]`` is sigma(j + 1) - 1, and
     w_0 alpha_k = -alpha_sigma(k), so w_0(mu) = -sigma(mu), the ``antipode``.
+    ``coset_orders`` maps each node whose coset order is built to the store
+    of its maximal quotient.
     """
 
     __slots__ = ("spec", "alphas", "sigma", "reflect", "antipode", "strata", "coset_orders")
@@ -245,7 +341,7 @@ class Orbits:
         self.reflect = reflect
         self.antipode = lambda mu: tuple([-mu[k] for k in sigma])
         self.strata: dict[frozenset[int], _Strata] = {}
-        self.coset_orders: dict[int, CosetOrder] = {}
+        self.coset_orders: dict[int, _Strata] = {}
 
     def peel(self, mu) -> Word:
         """Canonical word of the shortest x with x(lambda) = mu, lambda dominant.
@@ -286,62 +382,12 @@ class Orbits:
         store.grow(l)
         return store
 
-    def coset_order(self, node: int) -> "CosetOrder":
-        """The coset order of ``node``, built once per spec on first use."""
-        order = self.coset_orders.get(node)
-        if order is None:
-            order = self.coset_orders[node] = CosetOrder(self, node)
-        return order
-
-    def cosets(self, jset: frozenset[int], l: int) -> list[tuple[int, ...]]:
-        """Coset rows of stratum l of W^J, in stratum order (see quotient_cosets)."""
-        store = self.store(jset, l)
-        if store.rows[l] is None:  # acts cost a pass per call: only when a level is missing
-            orders = [self.coset_order(i) for i in self.spec.nodes if i not in jset]
-            acts = [[o.act[j] for o in orders] for j in range(self.spec.rank)]
-            store.walk(
-                l, store.rows, tuple(o.size - 1 for o in orders), (0,) * len(orders),
-                lambda row, j: tuple([a[c] for a, c in zip(acts[j], row)]),
-            )
-        return store.rows[l]
-
-    def masks(self, jset: frozenset[int], l: int) -> list[int]:
-        """Per node outside J (ascending), the bitset of the cosets of stratum l."""
-        rows = self.cosets(jset, l)
-        masks = self.strata[jset].masks
-        if masks[l] is None:
-            masks[l] = [sum(1 << c for c in set(column)) for column in zip(*rows)]
-        return masks[l]
-
-    def violations(self, jset: frozenset[int], len_v: int, len_u: int):
-        """(k_v, sorted k_u) for each v of stratum len_v of W^J not below some u of stratum len_u.
-
-        By Deodhar's criterion each v costs one AND per node outside J
-        against the u-stratum's coset bitsets (_misses); the u of a failing
-        v are decoded from its missed cosets.  Indices are stratum order.
-        """
-        masks = self.masks(jset, len_u)
-        store = self.strata[jset]
-        if store.ups is None:
-            store.ups = [self.coset_order(i).up for i in self.spec.nodes if i not in jset]
-        ups = store.ups
-        holders = None  # per node outside J: coset -> indices of the u in it
-        for k_v, row in enumerate(self.cosets(jset, len_v)):
-            misses = _misses(row, masks, ups)
-            if not any(misses):
-                continue
-            if holders is None:
-                holders = [{} for _ in ups]
-                for k, u_row in enumerate(self.cosets(jset, len_u)):
-                    for held, c in zip(holders, u_row):
-                        held.setdefault(c, []).append(k)
-            hit = set()
-            for held, miss in zip(holders, misses):
-                while miss:
-                    low = miss & -miss
-                    hit.update(held[low.bit_length() - 1])
-                    miss ^= low
-            yield k_v, sorted(hit)
+    def coset_order(self, node: int) -> _Strata:
+        """The coset order of ``node``, the store of W^{S - {node}}: built once per spec."""
+        if node not in self.coset_orders:
+            jset = frozenset(self.spec.nodes) - {node}
+            self.coset_orders[node] = self.store(jset, 0).order()
+        return self.coset_orders[node]
 
 
 @lru_cache(maxsize=None)
@@ -370,51 +416,8 @@ def quotient_stratum(ctx: WeylGroupContext, jset, l: int) -> list[WeylElement]:
     return levels[l]
 
 
-class CosetOrder:
-    """The Bruhat order on the cosets Q_i = W^{S - {i}} of one node i.
-
-    Cosets are numbered by the strata of the strata store of Q_i read top
-    down: element k of stratum l is coset k plus the number of cosets
-    longer than l, so the top coset is 0, the identity coset size - 1, and
-    lengths do not increase.  ``act[j - 1][c]`` is the coset of s_j * c (c
-    when s_j fixes it), and bit b of ``up[c]`` is set iff coset b >= c."""
-
-    __slots__ = ("size", "act", "up")
-
-    def __init__(self, layer: Orbits, node: int):
-        n, reflect = layer.spec.rank, layer.reflect
-        jset = frozenset(layer.spec.nodes) - {node}
-        store = layer.store(jset, dimension(layer.spec, jset) // 2)
-        levels, lam = list(store.weights), store.weights[0][0]
-        top = layer.antipode(lam)  # w_0 omega_i, the weight of the top coset
-        weights = [  # by coset id: the strata top down
-            mu for l in range(store.dim, -1, -1) for mu in store.walk(l, levels, lam, top, reflect)
-        ]
-        index = {mu: c for c, mu in enumerate(weights)}
-        self.size = size = len(weights)
-        self.act = act = [  # ids from index: every table shares its int objects
-            [index[reflect(mu, j)] if mu[j] else c for mu, c in index.items()]
-            for j in range(n)
-        ]
-        # lower covers, shortest cosets first: for a left descent s_j of b
-        # (mu_j < 0), covers(b) = {s_j b} + {s_j c : c in covers(s_j b), s_j c > c}
-        covers: list[list[int]] = [[] for _ in range(size)]
-        for b in range(size - 2, -1, -1):  # the identity coset size - 1 has none
-            mu = weights[b]
-            j = next(j for j in range(n) if mu[j] < 0)
-            sj = act[j]
-            down = sj[b]
-            covers[b] = [down] + [sj[c] for c in covers[down] if weights[c][j] > 0]
-        up = [1 << c for c in range(size)]
-        for b in range(size):
-            above = up[b]
-            for c in covers[b]:
-                up[c] |= above
-        self.up = up
-
-
-def coset_order(ctx: WeylGroupContext, node: int) -> CosetOrder:
-    """The coset order of ``node``, built once per spec on first use."""
+def coset_order(ctx: WeylGroupContext, node: int) -> _Strata:
+    """The coset order of ``node``, the store of W^{S - {node}}: built once per spec."""
     return orbits(ctx.spec).coset_order(node)
 
 
@@ -427,7 +430,7 @@ def quotient_cosets(ctx: WeylGroupContext, jset, l: int) -> list[tuple[int, ...]
     bit row_u[k] of that order's up[row_v[k]] is set; so the row also
     determines the element.
     """
-    return orbits(ctx.spec).cosets(frozenset(jset), l)
+    return orbits(ctx.spec).store(frozenset(jset), l).cosets(l)
 
 
 def elements_of_length(ctx: WeylGroupContext, l: int) -> list[WeylElement]:

@@ -14,13 +14,14 @@ degree dim + 1.
 
 The sweep of a degree is one loop over its buckets l(v); each bucket is
 compared by one generator of (v index, [u index, ...]) pairs, and the
-loop peels the words of what it yields.  The generator is
-bruhat.Orbits.violations, by Deodhar's criterion rather than the descent
-recursion: v <= u in W^J iff P_i(v) <= P_i(u) in the maximal quotient
-W^{S - {i}} for every marked node i, so each v costs one bitset AND per
-marked node against the cosets of the u-stratum, and the u of a
-violation are decoded only where a v fails.  The strata are weights and
-coset rows (bruhat.orbits, one per spec) and a listed pair holds the
+loop peels the words of what it yields.  The generator is the
+violations method of the strata store of W^J (bruhat._Strata), by
+Deodhar's criterion rather than the descent recursion: v <= u in W^J
+iff P_i(v) <= P_i(u) in the maximal quotient W^{S - {i}} for every
+marked node i, so each v costs one bitset AND per marked node against
+the cosets of the u-stratum, and the u of a violation are decoded only
+where a v fails.  The strata are weights and coset rows (one store per
+J, on bruhat.orbits, one per spec) and a listed pair holds the
 canonical words of v and u, peeled off their weights, so the sweep
 builds no root system.  Type-D tags are read off weights too: a pair
 pulls back from D(r) by a length test on x(omega_r) (classify_md_pairs).
@@ -287,7 +288,7 @@ def _require_marked(md: MarkedDiagram) -> None:
 def _pairwise(spec: DynkinSpec, jset: frozenset[int], len_v: int, len_u: int):
     """(k_v, [k_u, ...]) for each v of stratum len_v of W^J not below some u of stratum len_u.
 
-    The shape of Orbits.violations, compared pair by pair with bruhat_leq
+    The shape of _Strata.violations, compared pair by pair with bruhat_leq
     on the strata of the shared context.  Indices are stratum order.
     """
     ctx = get_context(spec)
@@ -305,22 +306,21 @@ def _sweep_degree(
     x -> w_0 x w_{0J} reverses the Bruhat order on W^J and swaps l(v) with
     c^J(u), so (v, u) violates iff (w_0 u w_{0J}, w_0 v w_{0J}) does: the
     half l(v) <= c^J(u) holds a violation of degree s whenever one exists,
-    for every J.  Each bucket l(v) is compared by one generator of
-    (k_v, [k_u, ...]) pairs: Orbits.violations on coset orders, or
-    _pairwise with bruhat_leq for a marked set with a node over MAX_COSETS
-    (_oversize_cosets).  The canonical words of the pairs it yields are
-    peeled off the weights, each u once per bucket.  Pairs come in bucket
-    order: l(v) ascending, then stratum order of v and of u.
+    for every J.  The sweep holds one strata store of W^J, and each bucket
+    l(v) is compared by one generator of (k_v, [k_u, ...]) pairs: the
+    store's violations on coset orders, or _pairwise with bruhat_leq for a
+    marked set with a node over MAX_COSETS (_oversize_cosets).  The
+    canonical words of the pairs it yields are peeled off the store's
+    weights, each u once per bucket.  Pairs come in bucket order: l(v)
+    ascending, then stratum order of v and of u.
     """
-    dim = dimension(spec, jset)
-    orbs = orbits(spec)
-    store = orbs.store(jset, 0)
-    compare = partial(_pairwise, spec) if _oversize_cosets(spec, jset) else orbs.violations
+    store = orbits(spec).store(jset, 0)
+    compare = partial(_pairwise, spec, jset) if _oversize_cosets(spec, jset) else store.violations
     out: list[tuple[int, Word, Word]] = []
-    for len_v in range(max(1, s - dim), s // 2 + 1):
-        len_u = dim - (s - len_v)
+    for len_v in range(max(1, s - store.dim), s // 2 + 1):
+        len_u = store.dim - (s - len_v)
         words_u: dict[int, Word] = {}
-        for k_v, hit in compare(jset, len_v, len_u):
+        for k_v, hit in compare(len_v, len_u):
             word_v = store.word(len_v, k_v)
             for k in hit:
                 if k not in words_u:

@@ -85,9 +85,6 @@ class WeylElement:
             return True
         return isinstance(other, WeylElement) and self.perm == other.perm
 
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
-
     def __lt__(self, other: "WeylElement") -> bool:
         if self.length != other.length:
             return self.length < other.length

@@ -163,6 +163,10 @@ def test_exit_code_usage_errors(capsys):
     assert run(capsys, "morphism", "bogus", "A2:1")[0] == 2
 
 
+def test_unparsable_node_set_exits_2(capsys):
+    assert run(capsys, "ed", "D4", "1,x") == (2, "", "error: cannot parse node set '1,x'\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -680,6 +684,17 @@ def test_star_import_binds_every_export_from_its_module():
     assert egd.build_group is egd.weyl.build_group is not egd.engine.build_group
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         getattr(egd, "nonexistent")
+
+
+def test_package_imports_a_module_on_first_access():
+    # `import egd` loads no module: a fresh process resolves egd.parabolic
+    # through the package's __getattr__
+    proc = _python(
+        "-S", "-c",
+        "import sys, egd\n"
+        "print('egd.parabolic' in sys.modules, egd.parabolic is sys.modules['egd.parabolic'])",
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False True\n", "")
 
 
 def test_cli_json_output_parses_in_a_fresh_process():

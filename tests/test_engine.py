@@ -178,6 +178,26 @@ def test_methods_and_agreement():
         effective_divisibility(MarkedDiagram.parse("G2", "1"), "closed_form")
 
 
+def test_unknown_mode_refused():
+    with pytest.raises(EgdError, match="unknown mode 'bogus'"):
+        effective_divisibility(flag("D4"), "bogus")
+
+
+def test_both_raises_when_closed_form_and_sweep_disagree(monkeypatch, capsys):
+    # the check test_every_marked_set_closed_form_vs_sweep relies on: a wrong
+    # closed form is an error in the library and exit 2 in the CLI
+    import egd.cli
+    import egd.engine
+
+    monkeypatch.setattr(egd.engine, "closed_form_ed", lambda md: 4)
+    message = "closed form 4 and brute force 5 disagree on D4(1,2,3,4)"
+    with pytest.raises(EgdError, match=re.escape(message)):
+        effective_divisibility(flag("D4"), "both")
+    assert egd.cli.main(["ed", "D4", "all"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_infeasibility_gates():
     with pytest.raises(Infeasible):
         effective_divisibility(flag("E7"), "both")

@@ -168,6 +168,29 @@ def test_context_mismatch():
         a2.multiply(a2.identity, b2.identity)
 
 
+def test_inverse_and_descents_refuse_bad_input():
+    a2 = get_context(DynkinSpec("A", 2))
+    b2 = get_context(DynkinSpec("B", 2))
+    with pytest.raises(ContextMismatch):
+        a2.inverse(b2.identity)
+    with pytest.raises(ValueError, match="side must be 'left' or 'right', got 'up'"):
+        a2.descents(a2.identity, "up")
+
+
+def test_element_repr_and_comparisons():
+    a2 = get_context(DynkinSpec("A", 2))
+    x = a2.from_word([1, 2])
+    s1, s2 = a2.simple_reflections
+    assert repr(x) == "<A2 element 1,2>"
+    assert repr(a2.identity) == "<A2 element e>"
+    # (length, canonical word): equal, shorter, same length with a smaller word
+    assert s1 <= s1 and a2.identity <= s1 and s1 <= s2 and s2 <= x
+    assert not s2 <= s1 and not x <= s2
+    # != is derived from __eq__
+    assert x != s2 and not x != x and not x != a2.from_word([1, 2])
+    assert x != 3 and x.__ne__(3) is True
+
+
 def test_lengths():
     ctx = get_context(DynkinSpec("B", 3))
     assert ctx.identity.length == 0
