@@ -18,7 +18,14 @@ _EXPORTS = {
         "quotient_elements_of_length",
         "subword_oracle",
     ),
-    "dynkin": ("DynkinSpec", "group_order", "is_proper_subdiagram", "parabolic_order"),
+    "dynkin": (
+        "DynkinSpec",
+        "format_word",
+        "group_order",
+        "is_proper_subdiagram",
+        "parabolic_order",
+        "parse_word",
+    ),
     "engine": (
         "EdResult",
         "MarkedDiagram",
@@ -64,8 +71,6 @@ _EXPORTS = {
         "WeylGroupContext",
         "Word",
         "build_group",
-        "format_word",
-        "parse_word",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -25,10 +25,12 @@ Bruhat order on W^J (Bjorner-Brenti, GTM 231, ch. 2); the weight of the
 image is w_0 mu = -sigma(mu).  Every per-element family (coset rows, root
 permutations) is filled from the records by one walk (_Strata.walk): up
 from the identity to dim/2, down from the top w_0 w_{0J} above it.  A
-canonical word is peeled off a weight (Orbits.peel), and the projection
-P_r(x) of a word to the maximal quotient W^{S - {r}} is peeled off
-x(omega_r) (Orbits.projection); root permutations are built only by
-quotient_stratum, one left product per element, and kept on the context.
+canonical word is peeled off a weight (Orbits.peel), and so is the
+shortest element of x W_{S - R} for any word of x, off x(lambda_R)
+(Orbits.project): the projection P_r(x) to a maximal quotient, the
+factor x^J of x = x^J x_J, and with lambda = rho the word of x itself.
+Root permutations are built only by quotient_stratum, one left product
+per element, and kept on the context.
 
 Coset orders decide the sweep's comparisons by Deodhar's criterion
 (Bjorner-Brenti, GTM 231, section 2.6): for v, u in W^J, v <= u iff
@@ -362,13 +364,15 @@ class Orbits:
                 j += 1
         return tuple(word)
 
-    def projection(self, word: Word, node: int) -> Word:
-        """Canonical word of P_node(x), x the product of ``word``: read off x(omega_node).
+    def project(self, word: Word, nodes) -> Word:
+        """Canonical word of the shortest element of x W_{S - nodes}, x the product of ``word``.
 
-        P_node(x) is the shortest element of x W_{S - {node}}, the stabiliser
-        of omega_node; nothing is built.
+        It is peeled off x(lambda), lambda the sum of omega_i over ``nodes``,
+        whose stabiliser is W_{S - nodes}; ``word`` need not be reduced, and
+        nothing is built.  With nodes {r} it is P_r(x); with all nodes
+        (lambda = rho, trivial stabiliser) it is x itself.
         """
-        mu = tuple(int(k == node - 1) for k in range(self.spec.rank))
+        mu = tuple(int(k in nodes) for k in self.spec.nodes)
         for j in reversed(word):
             mu = self.reflect(mu, j - 1)
         return self.peel(mu)

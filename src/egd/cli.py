@@ -5,9 +5,10 @@ Each command computes its result once and returns it as (record, lines):
 the JSON record and the text lines.  main checks the shared flags
 (--workers, --budget) before the command runs and prints exactly one of
 the two, so the text and --json outputs come from one record per command.
-Every other check lives in dynkin and engine and runs before any group is
-built.  Only `strata` and `decompose` import weyl, and only `decompose`
-parabolic (through engine.decompose), inside the command.
+Every other check lives in dynkin and engine and runs before anything is
+built.  Every command reads its words off the weight layer (bruhat.orbits),
+so this module imports neither weyl nor parabolic; only the engine's
+pair-by-pair sweep builds a root system, and so loads weyl.
 The sweep runs in one process; ``--workers`` and ``--extended`` are
 accepted for compatibility and change nothing.  Exit codes: 0 success,
 2 bad input, 3 infeasible.
@@ -18,13 +19,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .dynkin import DynkinSpec
+from .dynkin import DynkinSpec, dimension, format_word, num_positive_roots
 from .engine import (
     DEFAULT_BUDGET,
     MarkedDiagram,
-    decompose,
+    decomposition,
     effective_divisibility,
-    element_of_word,
     md_pairs,
     morphism_constancy,
     stratum,
@@ -93,33 +93,26 @@ def cmd_mdpairs(args):
 
 
 def cmd_decompose(args):
-    from .parabolic import codims
-    from .weyl import format_word
-
     spec = DynkinSpec.parse(args.diagram)
     jset = spec.parse_nodes(args.parabolic)
-    w = element_of_word(spec, args.word)
-    dec = decompose(w.ctx, w, jset)
-    cd = codims(w.ctx, w, jset, dec)
-    up_word = format_word(dec.up.word()) if dec.up.length else ""
-    down_word = format_word(dec.down.word()) if dec.down.length else ""
+    up, down = decomposition(spec, args.word, jset)
     record = {
         "diagram": str(spec),
         "word": args.word.strip(),
         "parabolic": sorted(jset),
-        "up": up_word,
-        "down": down_word,
-        "l_up": dec.up.length,
-        "l_down": dec.down.length,
-        "cJ_up": cd.cJ_up,
-        "cJ_down": cd.cJ_down,
-        "c_total": cd.c_total,
+        "up": ",".join(map(str, up)),
+        "down": ",".join(map(str, down)),
+        "l_up": len(up),
+        "l_down": len(down),
+        "cJ_up": dimension(spec, jset) - len(up),
+        "cJ_down": num_positive_roots(spec, jset) - len(down),
+        "c_total": num_positive_roots(spec) - len(up) - len(down),
     }
     return record, [
         f"decompose {spec} w={record['word']} J={args.parabolic.strip().lower()}",
-        f"u^J={up_word}  u_J={down_word}",
-        f"l(u^J)={dec.up.length}  l(u_J)={dec.down.length}",
-        f"c^J(u)={cd.cJ_up}  c_J(u)={cd.cJ_down}  c(u)={cd.c_total}",
+        f"u^J={record['up']}  u_J={record['down']}",
+        f"l(u^J)={record['l_up']}  l(u_J)={record['l_down']}",
+        f"c^J(u)={record['cJ_up']}  c_J(u)={record['cJ_down']}  c(u)={record['c_total']}",
     ]
 
 
@@ -162,11 +155,9 @@ def cmd_morphism(args):
 
 
 def cmd_strata(args):
-    from .weyl import format_word
-
     spec = DynkinSpec.parse(args.diagram)
     jset = spec.parse_nodes(args.parabolic)
-    words = [format_word(e.word()) for e in stratum(spec, jset, args.length)]
+    words = [format_word(word) for word in stratum(spec, jset, args.length)]
     record = {
         "diagram": str(spec),
         "parabolic": sorted(jset),

@@ -113,6 +113,22 @@ class DynkinSpec(namedtuple("DynkinSpec", "family rank")):
         return word
 
 
+def parse_word(text: str) -> tuple[int, ...]:
+    """Parse comma-separated generator indices; empty or 'e' is the empty word."""
+    text = text.strip()
+    if text in ("", "e"):
+        return ()
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError as exc:
+        raise BadLetter(f"cannot parse word {text!r}") from exc
+
+
+def format_word(word) -> str:
+    """Serialize a word as comma-separated indices ('e' for the identity)."""
+    return ",".join(map(str, word)) if word else "e"
+
+
 def bonds(spec: DynkinSpec) -> list[tuple[int, int, int]]:
     """Edges of the diagram as (i, j, m) with m the Coxeter exponent 3, 4 or 6."""
     n = spec.rank
@@ -225,7 +241,10 @@ def degrees(spec: DynkinSpec, subset=None) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _degrees(spec: DynkinSpec, nodes: frozenset[int]) -> tuple[int, ...]:
     spec.check_nodes(nodes)
-    inner = [(i, j, m) for i, j, m in bonds(spec) if i in nodes and j in nodes]
+    # fewer than two nodes hold no bond: a huge rank lists none of its bonds
+    inner = [] if len(nodes) < 2 else [
+        (i, j, m) for i, j, m in bonds(spec) if i in nodes and j in nodes
+    ]
     adjacent: dict[int, list[int]] = {v: [] for v in nodes}
     for i, j, _ in inner:
         adjacent[i].append(j)

@@ -27,10 +27,10 @@ builds no root system.  Type-D tags are read off weights too: a pair
 pulls back from D(r) by a length test on x(omega_r) (classify_md_pairs).
 A WeylGroupContext is built only for MdPair.u and MdPair.v and for the
 pair-by-pair path, and weyl is imported only where one is built
-(build_group) or a word is parsed (element_of_word); parabolic is
-imported only by decompose.  So `ed`, `mdpairs` and `morphism` load this
-module, bruhat, dynkin and errors alone unless they sweep pair by pair;
-`strata` loads weyl, and `decompose` weyl and parabolic.
+(build_group).  `strata` lists the sorted words of a store (stratum), and
+`decompose` peels w^J and w_J off weights (decomposition, by
+Orbits.project).  So every command loads this module, bruhat, dynkin and
+errors alone unless it sweeps pair by pair.
 A marked node whose maximal quotient exceeds MAX_COSETS gets no coset
 order: such a marked set is compared by _pairwise, with bruhat_leq on
 whole strata of elements, and its full sweep is refused before anything
@@ -77,19 +77,14 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache, partial
 
-from .bruhat import (
-    bruhat_leq,
-    orbits,
-    quotient_dimension,
-    quotient_elements_of_length,
-    quotient_stratum,
-)
+from .bruhat import bruhat_leq, orbits, quotient_dimension, quotient_stratum
 from .dynkin import (
     DynkinSpec,
     check_length,
     dimension,
     is_proper_subdiagram,
     num_positive_roots,
+    parse_word,
     quotient_size,
     require_type_d,
     stratum_size,
@@ -101,15 +96,17 @@ if TYPE_CHECKING:
     from .weyl import WeylElement, WeylGroupContext, Word
 
 DEFAULT_BUDGET = 10**6
-# Largest group whose context is built, by `strata`, `decompose`, the
+# Largest group any command admits.  Its context is built only by the
 # pair-by-pair sweep and `MdPair.u` / `.v`: A100 (5,050 positive roots)
-# builds in about 0.12 s, B71, C71 and D71 in about 0.09-0.13 s, and
-# `decompose A100 1,2,3,4,5,6,7 1` runs in about 0.3 s at 33 MB peak RSS.
-# `ed A100 1` builds no context: about 0.16 s at 15 MB.  (Python 3.11 on
-# 2 cores.)
+# builds in about 0.12 s, B71, C71 and D71 in about 0.09-0.13 s.  Commands
+# on weights alone keep the limit: `decompose A100 1,2,3,4,5,6,7 1` runs
+# in about 0.11 s and `ed A100 1` in about 0.16 s, each at 15 MB peak RSS.
+# (Python 3.11 on 2 cores.)
 MAX_POSITIVE_ROOTS = 5050
-# Largest stratum `egd strata` builds, in elements times root-permutation
-# width: 10**8 entries hold about 0.8 GB of pointers.
+# Largest stratum `egd strata` lists, in entries: the rank-wide weights of
+# the strata it grows plus the letters of its words (stratum); 10**8
+# entries hold about 0.8 GB of pointers.  `strata A100 3 2`, 166,649 words
+# within 6.7 * 10**7 entries, runs in about 3.5 s at 0.19 GB peak RSS.
 MAX_STRATUM_ENTRIES = 10**8
 # Largest maximal quotient W^{S - {i}} of a marked node i whose coset order
 # is built: its up-sets take |Q_i|^2 / 16 bytes.  E8 node 3 (69,120
@@ -121,10 +118,10 @@ MAX_COSETS = 100_000
 _context_cache: dict[DynkinSpec, WeylGroupContext] = {}
 
 
-# build_group and decompose are module globals that import their module
-# when called, so a coset sweep loads neither weyl nor parabolic, and a
-# tracer or a test can still replace them here (get_context calls
-# build_group, and the CLI's decompose is this one).
+# build_group is a module global that imports weyl when called, so a coset
+# sweep loads no root system, and a tracer or a test can still replace it
+# here (get_context calls it).  Nothing here calls decompose: it is kept
+# only for perfbench/trace_cmd.py, which wraps it, and the export test.
 def build_group(spec: DynkinSpec) -> WeylGroupContext:
     """weyl.build_group: the root system of spec, built from scratch."""
     from .weyl import build_group
@@ -443,7 +440,7 @@ def classify_md_pairs(spec: DynkinSpec, pairs, *, jset=frozenset()) -> list[MdPa
     A pair (v, u) of W^J lifts to the flag as (v, u w_{0J}) and comes from
     D(r) iff v is in W^{S - {r}} and u w_{0J} is the longest element of its
     coset modulo W_{S - {r}} (Bjorner-Brenti, GTM 231, section 2.4).  With
-    l_r(x) = l(P_r(x)) peeled off x(omega_r) (Orbits.projection), that reads
+    l_r(x) = l(P_r(x)) peeled off x(omega_r) (Orbits.project), that reads
     l_r(v) = l(v) and l_r(u) + N_{S - {r}} = l(u) + N_J.  No r in J passes
     the first test, as listed pairs have v != e: W^J and W^{S - {r}} then
     meet only in the identity.
@@ -455,8 +452,8 @@ def classify_md_pairs(spec: DynkinSpec, pairs, *, jset=frozenset()) -> list[MdPa
     return [
         pair._replace(tags=frozenset(
             r for r, fibre in fibres.items()
-            if len(orbs.projection(pair.word_v, r)) == len(pair.word_v)
-            and len(orbs.projection(pair.word_u, r)) + fibre == len(pair.word_u) + lift
+            if len(orbs.project(pair.word_v, {r})) == len(pair.word_v)
+            and len(orbs.project(pair.word_u, {r})) + fibre == len(pair.word_u) + lift
         ))
         for pair in pairs
     ]
@@ -508,33 +505,43 @@ def morphism_constancy(
     return MorphismVerdict(verdict, src_label, tgt_label, src_ed, tgt_ed, rule)
 
 
-def stratum(spec: DynkinSpec, jset, l: int) -> list[WeylElement]:
-    """Stratum l of W^J sorted by canonical word, checked before anything is built.
+def stratum(spec: DynkinSpec, jset, l: int) -> list[Word]:
+    """The canonical words of stratum l of W^J, sorted, peeled off the strata store.
 
     A length outside 0..dim G/P_J raises LengthOutOfRange; a group over
-    MAX_POSITIVE_ROOTS, or a stratum whose size times root-permutation width
-    exceeds MAX_STRATUM_ENTRIES, raises Infeasible.  Sizes come from the
-    degree table.
+    MAX_POSITIVE_ROOTS, or a stratum whose growth and words may exceed
+    MAX_STRATUM_ENTRIES, raises Infeasible, before anything is grown.  The
+    store grows the rank-wide weights of strata 0..m, m = min(l, dim - l);
+    the strata sizes of W^J are symmetric and unimodal (Stanley 1980), so
+    none of them exceeds stratum l, and (m + 1) * rank + l entries per
+    element of stratum l bound the weights and the words.  Sizes come from
+    the degree table.
     """
-    check_length(l, dimension(spec, jset))
-    width = _roots(spec)
-    size = stratum_size(spec, jset, l)
-    if size * width > MAX_STRATUM_ENTRIES:
+    dim = dimension(spec, jset)
+    check_length(l, dim)
+    _roots(spec)
+    m = min(l, dim - l)
+    size = stratum_size(spec, jset, m)
+    entries = size * ((m + 1) * spec.rank + l)
+    if entries > MAX_STRATUM_ENTRIES:
         raise Infeasible(
-            f"stratum {l} of {spec} has {size} elements of width {width}, "
-            f"over the limit of {MAX_STRATUM_ENTRIES} entries"
+            f"stratum {l} of {spec} has {size} elements, whose weights and words take up to "
+            f"{entries} entries, over the limit of {MAX_STRATUM_ENTRIES}"
         )
-    return quotient_elements_of_length(get_context(spec), jset, l)
+    store = orbits(spec).store(frozenset(jset), l)
+    return sorted(store.word(l, k) for k in range(len(store.weights[m])))
 
 
-def element_of_word(spec: DynkinSpec, text: str) -> WeylElement:
-    """The element a comma-separated word evaluates to, in the shared context.
+def decomposition(spec: DynkinSpec, text: str, jset) -> tuple[Word, Word]:
+    """The canonical words of w^J and w_J, w = w^J w_J the value of a comma-separated word.
 
     A group over MAX_POSITIVE_ROOTS, then a word that does not parse or has a
-    letter outside 1..rank, is refused before any context is built.
+    letter outside 1..rank, is refused before anything is evaluated.  w^J is
+    peeled off w(lambda_R), R the complement of J, and w_J = (w^J)^-1 w off
+    its value at rho (Orbits.project); no root system is built.
     """
-    from .weyl import parse_word
-
     _roots(spec)
     word = spec.check_word(parse_word(text))
-    return get_context(spec).from_word(word)
+    orbs, nodes = orbits(spec), frozenset(spec.nodes)
+    up = orbs.project(word, nodes - frozenset(jset))
+    return up, orbs.project(up[::-1] + word, nodes)

@@ -44,7 +44,7 @@ from __future__ import annotations
 from operator import itemgetter, neg
 
 from .dynkin import DynkinSpec, cartan_matrix, num_positive_roots, opposition
-from .errors import BadLetter, ContextMismatch, InvalidRank
+from .errors import ContextMismatch, InvalidRank
 
 Word = tuple[int, ...]
 
@@ -346,19 +346,3 @@ class WeylGroupContext:
 def build_group(spec: DynkinSpec) -> WeylGroupContext:
     """Construct the full group environment for a diagram."""
     return WeylGroupContext(spec)
-
-
-def parse_word(text: str) -> Word:
-    """Parse comma-separated generator indices; empty or 'e' is the empty word."""
-    text = text.strip()
-    if text in ("", "e"):
-        return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise BadLetter(f"cannot parse word {text!r}") from exc
-
-
-def format_word(word: Word) -> str:
-    """Serialize a word as comma-separated indices ('e' for the identity)."""
-    return ",".join(map(str, word)) if word else "e"

@@ -29,6 +29,7 @@ from egd import (
 )
 from egd.bruhat import coset_order, orbits, quotient_cosets, quotient_stratum
 from egd.dynkin import bonds, num_positive_roots, quotient_size, stratum_size
+from egd.engine import stratum as stratum_words
 from egd.errors import ContextMismatch, LengthOutOfRange, NonReducedInput
 
 EXTENDED = bool(os.environ.get("EGD_EXTENDED"))
@@ -527,4 +528,7 @@ def test_orbit_strata_rederived_from_perms(diagram, sets):
                     assert store.word(l, i) == ctx.canonical_word(x), (sorted(jset), l)
                     assert x.length == l
                     assert not ctx.descents(x) & jset
+                # `egd strata` lists the sorted words of the store alone
+                listed = [ctx.canonical_word(x) for x in quotient_elements_of_length(ctx, jset, l)]
+                assert stratum_words(spec, jset, l) == listed, (sorted(jset), l)
     assert checked == sets

@@ -377,13 +377,20 @@ SWEEPS_WITHOUT_CONTEXT = {
         "4) l(v)= 4 c(u)= 4 v=[5,3,2,1] u=[1,2,1,3,2,1,4,3,2,1,5,3,2,4,3,5] tags={1}\n"
         "total 4\n"
     ),
+    # a stratum and a decomposition are words peeled off the weights too
+    ("strata", "D4", "3", "2,3,4"): "strata D4 J=2,3,4 l=3\n3,2,1\n4,2,1\ntotal 2\n",
+    ("decompose", "D5", "4,3,5,2,3,4,1,2,3,5,1,2,3,1,2,1", "2,3,4,5"): (
+        "decompose D5 w=4,3,5,2,3,4,1,2,3,5,1,2,3,1,2,1 J=2,3,4,5\n"
+        "u^J=2,3,4,5,3,2,1  u_J=3,4,3,5,3,2,4,3,5\nl(u^J)=7  l(u_J)=9\n"
+        "c^J(u)=1  c_J(u)=3  c(u)=4\n"
+    ),
 }
 
 
 @pytest.mark.parametrize("argv", list(SWEEPS_WITHOUT_CONTEXT), ids=" ".join)
 def test_sweeps_build_no_root_system(capsys, monkeypatch, argv):
     # the coset sweep reads weights, coset orders and words peeled off the
-    # weights: the listed words need no WeylGroupContext
+    # weights, and so do `strata` and `decompose`: no WeylGroupContext
     import egd.engine
 
     def no_build(spec):
@@ -399,8 +406,6 @@ def test_sweeps_build_no_root_system(capsys, monkeypatch, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("decompose", "D5", "4,3,5,2,3,4,1,2,3,5,1,2,3,1,2,1", "2,3,4,5"),
-        ("strata", "D4", "3", "2,3,4"),
         # node 10 of A19 is over MAX_COSETS: the pair-by-pair path
         ("ed", "A19", "10"),
     ],
@@ -422,24 +427,6 @@ def test_element_commands_build_one_context(capsys, monkeypatch, argv):
     assert builds == [DynkinSpec.parse(argv[1])]
 
 
-def test_decompose_command_decomposes_once(capsys, monkeypatch):
-    # codims takes the decomposition the command already holds
-    import egd.cli
-    import egd.parabolic
-
-    decompose, calls = egd.parabolic.decompose, []
-
-    def counting_decompose(*args):
-        calls.append(args)
-        return decompose(*args)
-
-    for module in (egd.parabolic, egd.cli):
-        monkeypatch.setattr(module, "decompose", counting_decompose)
-    code, out, _ = run(capsys, "decompose", "D5", "4,3,5,2,3,4,1,2,3,5,1,2,3,1,2,1", "2,3,4,5")
-    assert code == 0 and out.splitlines()[3] == "c^J(u)=1  c_J(u)=3  c(u)=4"
-    assert len(calls) == 1
-
-
 def test_root_limit_admits_the_largest_benchmarked_groups():
     from egd import DynkinSpec
     from egd.dynkin import num_positive_roots
@@ -458,30 +445,35 @@ def test_strata_length_past_quotient_dimension(capsys):
 
 
 def test_oversize_stratum_refused_before_build(capsys, monkeypatch):
-    # stratum 3 of A100(1) has 166,649 elements of 5,050 root positions each
-    import egd.engine
+    # the limit bounds the weights of strata 0..min(l, dim - l), none larger
+    # than stratum l (unimodal), plus the words of stratum l
+    import egd.bruhat
     from egd import DynkinSpec
     from egd.dynkin import stratum_size
     from egd.engine import MAX_STRATUM_ENTRIES
 
-    def no_build(spec):
-        raise AssertionError(f"built {spec}")
+    def no_growth(store, l):
+        raise AssertionError(f"grew stratum {l}")
 
-    built = {}
-    monkeypatch.setattr(egd.engine, "_context_cache", built)
-    monkeypatch.setattr(egd.engine, "build_group", no_build)
-    assert stratum_size(DynkinSpec.parse("A100"), {2}, 3) == 166649
-    for length in (3, 999):
-        size = stratum_size(DynkinSpec.parse("A100"), {2}, length)
+    monkeypatch.setattr(egd.bruhat._Strata, "grow", no_growth)
+    a100 = DynkinSpec.parse("A100")
+    # A100(1) has dimension 5049: strata 3 and 5046 both grow strata 0..3
+    for length, m in ((999, 999), (5046, 3)):
+        size = stratum_size(a100, {2}, m)
+        assert size == stratum_size(a100, {2}, length)
+        entries = size * ((m + 1) * 100 + length)
         code, out, err = run(capsys, "strata", "A100", str(length), "2")
-        assert code == 3 and out == "" and built == {}
+        assert code == 3 and out == ""
         assert err == (
-            f"infeasible: stratum {length} of A100 has {size} elements of width 5050, "
-            f"over the limit of {MAX_STRATUM_ENTRIES} entries\n"
+            f"infeasible: stratum {length} of A100 has {size} elements, whose weights and "
+            f"words take up to {entries} entries, over the limit of {MAX_STRATUM_ENTRIES}\n"
         )
-    # `strata E7 20 none`, 58,009 elements of width 63, still prints
+    # stratum 3 of A100(1), 166,649 elements, is admitted (CI lists it under
+    # 4 GB), and so is `strata E7 20 none`, 58,009 elements
+    assert stratum_size(a100, {2}, 3) == 166649
+    assert 166649 * (4 * 100 + 3) <= MAX_STRATUM_ENTRIES
     assert stratum_size(DynkinSpec.parse("E7"), (), 20) == 58009
-    assert 58009 * 63 <= MAX_STRATUM_ENTRIES
+    assert 58009 * (21 * 7 + 20) <= MAX_STRATUM_ENTRIES
 
 
 def test_zero_budget_still_accepted(capsys):
@@ -637,8 +629,9 @@ DECOMPOSE_D5 = ["decompose", "D5", "4,3,5,2,3,4,1,2,3,5,1,2,3,1,2,1", "2,3,4,5"]
         (["ed", "A50", "1"], []),
         (["mdpairs", "D5", "all", "--classify"], []),
         (["morphism", "D5:1", "A3:1"], []),
-        (["strata", "D4", "3", "2"], ["egd.weyl"]),
-        (DECOMPOSE_D5, ["egd.parabolic", "egd.weyl"]),
+        # so do a stratum listing and a decomposition
+        (["strata", "D4", "3", "2"], []),
+        (DECOMPOSE_D5, []),
     ],
     ids=lambda arg: " ".join(arg) or "none",
 )

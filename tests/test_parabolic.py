@@ -1,6 +1,7 @@
 """Parabolic decomposition, Stumbo expressions, type-D distinguished elements."""
 
 import itertools
+import random
 
 import pytest
 
@@ -21,6 +22,8 @@ from egd import (
     spinor_coset_words,
     stumbo_word,
 )
+from egd.dynkin import dimension, num_positive_roots
+from egd.engine import decomposition
 from egd.errors import EgdError, NotClassical, NotTypeD
 from egd.parabolic import spinor_sequences, spinor_word
 
@@ -63,6 +66,35 @@ def test_decompose_d5_example():
     assert dec.down == ctx.from_word(tuple(reversed(dec.strip)))
     assert ctx.multiply(dec.up, dec.down) == u
     assert dec.up.length == 7 and dec.down.length == 9
+
+
+@pytest.mark.parametrize(
+    "diagram", ["A1", "A6", "B4", "C3", "D5", "G2", "F4", "E6", "E7", "E8"]
+)
+def test_weight_decomposition_matches_permutations(diagram):
+    # `egd decompose` peels w^J off w(lambda_R) and w_J off (w^J)^-1 w(rho),
+    # then reads the codimensions off the degree table: rederive both words
+    # and all three codimensions on root permutations, for random words
+    # (mostly not reduced) and J empty, full and random
+    spec = DynkinSpec.parse(diagram)
+    ctx = get_context(spec)
+    rng = random.Random(diagram)
+    n, roots = spec.rank, num_positive_roots(spec)
+    for _ in range(30):
+        word = [rng.randint(1, n) for _ in range(rng.randint(0, 2 * roots))]
+        w = ctx.from_word(word)
+        random_j = frozenset(j for j in spec.nodes if rng.random() < 0.5)
+        for jset in (frozenset(), frozenset(spec.nodes), random_j):
+            up, down = decomposition(spec, ",".join(map(str, word)), jset)
+            dec = decompose(ctx, w, jset)
+            words = ctx.canonical_word(dec.up), ctx.canonical_word(dec.down)
+            assert (up, down) == words, (word, sorted(jset))
+            cd = codims(ctx, w, jset, dec)
+            assert (
+                dimension(spec, jset) - len(up),
+                num_positive_roots(spec, jset) - len(down),
+                roots - len(up) - len(down),
+            ) == cd, (word, sorted(jset))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
