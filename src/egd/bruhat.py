@@ -6,9 +6,8 @@ pair on the chain has the same answer, so the whole chain is memoized in
 the context cache under the int key (v.id << 32) | u.id.  Each step reads
 su and sv from the elements' left-product caches, so a product s_i * w is
 computed once per element however many comparisons pass through it.  It
-is the library comparison and the sweep's pair-by-pair path; the sweep
-otherwise uses the coset orders below (_Strata.violations), and an
-exhaustive subword scan is kept as an independent test oracle.
+is the library comparison and the tests' reference; no sweep calls it,
+and an exhaustive subword scan is kept as an independent test oracle.
 
 The weight layer needs no root system.  One Orbits object per spec, built
 from the Cartan matrix and sigma = -w_0 on nodes (dynkin), holds a strata
@@ -50,8 +49,11 @@ Coset orders are built only when a sweep asks for coset rows.  The store
 of W^J answers the sweep's comparisons: _Strata.violations yields, per
 failing v of a stratum, the indices of the u it is not below, and the
 store alone knows the coset-row layout (one coset id per node outside J,
-ascending).  A windowed or threshold comparison would be another store
-method of this shape.
+ascending).  A quotient too large for coset orders is compared pair by
+pair by _Strata.lifting, a method of the same shape: the lifting property
+on canonical words and weights, with no coset order and no root system.
+A windowed or threshold comparison would be one more store method of
+this shape.
 """
 
 from __future__ import annotations
@@ -151,14 +153,15 @@ class _Strata:
     any per-element family from these records.  Strata are grown up to
     depth ``grown``.  ``marked`` lists the nodes outside J, ascending: a
     coset row holds one coset id per marked node, in that order.  Coset
-    rows and masks of a stratum are filled on first use.
+    rows and masks of a stratum are filled on first use, and so are its
+    sorted reversed words (``_suffixes``), which ``lifting`` reads.
 
     The store of a maximal quotient W^{S - {i}} is also the coset order of
     node i once ``order`` has filled ``size``, ``act`` and ``up``.
     """
 
     __slots__ = ("dim", "layer", "marked", "weights", "parents", "grown", "_rows", "_masks",
-                 "ups", "size", "act", "up")
+                 "_suffixes", "ups", "size", "act", "up")
 
     def __init__(self, layer: "Orbits", jset: frozenset[int]):
         self.dim = dim = dimension(layer.spec, jset)
@@ -167,7 +170,7 @@ class _Strata:
         self.weights = [[tuple(int(i not in jset) for i in layer.spec.nodes)]] + [None] * dim
         self.parents = [None] * (dim + 1)
         self.grown = 0
-        self._rows, self._masks = [None] * (dim + 1), [None] * (dim + 1)
+        self._rows, self._masks, self._suffixes = ([None] * (dim + 1) for _ in range(3))
         self.ups = self.size = self.act = self.up = None
 
     def grow(self, l: int) -> None:
@@ -301,6 +304,52 @@ class _Strata:
                     miss ^= low
             yield k_v, sorted(hit)
 
+    def lifting(self, len_v: int, len_u: int):
+        """The (k_v, sorted k_u) pairs of violations, in its order, decided on words alone.
+
+        By the lifting property (Bjorner-Brenti, GTM 231, section 2.2), for
+        a right descent s of u, v <= u iff min(v, vs) <= us.  So a reduced
+        word of u is read from its last letter, v becomes vs at each letter
+        s that is a right descent of v, and v <= u iff all l(v) descents get
+        used.  The right descents of v are the left descents of v^-1: s_j is
+        one iff coordinate j of v^-1(rho) is negative, and v -> v s_j
+        reflects it.  The reversed canonical words of the u-stratum, sorted,
+        share long prefixes (``_suffixes``: word, k_u, letters shared with
+        the word before).  The scan of a v keeps a stack of (position,
+        v^-1(rho), descents still needed), pushed at each descent, and
+        resumes each u where its word leaves the one before.  Nothing is
+        memoised: a scan holds the u words and one stack of l(v) weights.
+        """
+        for l in (len_v, len_u):
+            self.grow(l)
+        if self._suffixes[len_u] is None:
+            words = sorted(
+                (tuple(j - 1 for j in reversed(self.word(len_u, k))), k)
+                for k in range(len(self.weights[min(len_u, self.dim - len_u)]))
+            )
+            self._suffixes[len_u] = [  # letters shared with the word before: 0 for the first
+                (word, k, next((t for t, (a, b) in enumerate(zip(word, prev)) if a != b), len(prev)))
+                for (word, k), (prev, _) in zip(words, [((), 0)] + words)
+            ]
+        image, reflect, rho = self.layer.image, self.layer.reflect, (1,) * len(self.layer.sigma)
+        for k_v in range(len(self.weights[min(len_v, self.dim - len_v)])):
+            stack = [(0, image(self.word(len_v, k_v)[::-1], rho), len_v)]
+            t, hit = 0, []
+            for word, k_u, shared in self._suffixes[len_u]:
+                t = min(t, shared)
+                while stack[-1][0] > t:
+                    stack.pop()
+                _, mu, need = stack[-1]
+                while 0 < need <= len_u - t:
+                    j, t = word[t], t + 1
+                    if mu[j] < 0:
+                        mu, need = reflect(mu, j), need - 1
+                        stack.append((t, mu, need))
+                if need:
+                    hit.append(k_u)
+            if hit:
+                yield k_v, sorted(hit)
+
 
 def _misses(row, masks, ups) -> list[int]:
     """Per marked node, the cosets of a u-stratum not above v's coset.
@@ -372,10 +421,13 @@ class Orbits:
         nothing is built.  With nodes {r} it is P_r(x); with all nodes
         (lambda = rho, trivial stabiliser) it is x itself.
         """
-        mu = tuple(int(k in nodes) for k in self.spec.nodes)
+        return self.peel(self.image(word, tuple(int(k in nodes) for k in self.spec.nodes)))
+
+    def image(self, word: Word, mu):
+        """x(mu), x the product of ``word``: its letters act last to first."""
         for j in reversed(word):
             mu = self.reflect(mu, j - 1)
-        return self.peel(mu)
+        return mu
 
     def store(self, jset: frozenset[int], l: int) -> _Strata:
         """The strata store of W^J, grown for stratum l."""

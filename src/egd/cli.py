@@ -7,8 +7,7 @@ the JSON record and the text lines.  main checks the shared flags
 the two, so the text and --json outputs come from one record per command.
 Every other check lives in dynkin and engine and runs before anything is
 built.  Every command reads its words off the weight layer (bruhat.orbits),
-so this module imports neither weyl nor parabolic; only the engine's
-pair-by-pair sweep builds a root system, and so loads weyl.
+so no command imports weyl or parabolic or builds a root system.
 The sweep runs in one process; ``--workers`` and ``--extended`` are
 accepted for compatibility and change nothing.  Exit codes: 0 success,
 2 bad input, 3 infeasible.

@@ -14,27 +14,27 @@ degree dim + 1.
 
 The sweep of a degree is one loop over its buckets l(v); each bucket is
 compared by one generator of (v index, [u index, ...]) pairs, and the
-loop peels the words of what it yields.  The generator is the
-violations method of the strata store of W^J (bruhat._Strata), by
-Deodhar's criterion rather than the descent recursion: v <= u in W^J
-iff P_i(v) <= P_i(u) in the maximal quotient W^{S - {i}} for every
-marked node i, so each v costs one bitset AND per marked node against
-the cosets of the u-stratum, and the u of a violation are decoded only
-where a v fails.  The strata are weights and coset rows (one store per
-J, on bruhat.orbits, one per spec) and a listed pair holds the
-canonical words of v and u, peeled off their weights, so the sweep
-builds no root system.  Type-D tags are read off weights too: a pair
-pulls back from D(r) by a length test on x(omega_r) (classify_md_pairs).
-A WeylGroupContext is built only for MdPair.u and MdPair.v and for the
-pair-by-pair path, and weyl is imported only where one is built
-(build_group).  `strata` lists the sorted words of a store (stratum), and
-`decompose` peels w^J and w_J off weights (decomposition, by
-Orbits.project).  So every command loads this module, bruhat, dynkin and
-errors alone unless it sweeps pair by pair.
-A marked node whose maximal quotient exceeds MAX_COSETS gets no coset
-order: such a marked set is compared by _pairwise, with bruhat_leq on
-whole strata of elements, and its full sweep is refused before anything
-is built when no closed form bounds where it stops.
+loop peels the words of what it yields.  The generator is a method of
+the strata store of W^J (bruhat._Strata), never the descent recursion.
+Its violations method uses Deodhar's criterion: v <= u in W^J iff
+P_i(v) <= P_i(u) in the maximal quotient W^{S - {i}} for every marked
+node i, so each v costs one bitset AND per marked node against the
+cosets of the u-stratum, and the u of a violation are decoded only
+where a v fails.  A marked node whose maximal quotient exceeds
+MAX_COSETS gets no coset order: such a marked set is compared pair by
+pair by the store's lifting method, which walks v down a reduced word
+of each u by the lifting property, on canonical words and weights; its
+full sweep is refused before anything is built when no closed form
+bounds where it stops.  The strata are weights, coset rows and words
+(one store per J, on bruhat.orbits, one per spec) and a listed pair
+holds the canonical words of v and u, peeled off their weights, so no
+sweep builds a root system.  Type-D tags are read off weights too: a
+pair pulls back from D(r) by a length test on x(omega_r)
+(classify_md_pairs).  A WeylGroupContext is built only for MdPair.u and
+MdPair.v, and weyl is imported only where one is built (build_group).
+`strata` lists the sorted words of a store (stratum), and `decompose`
+peels w^J and w_J off weights (decomposition, by Orbits.project).  So
+every command loads this module, bruhat, dynkin and errors alone.
 
 Maximal quotients suffice: with Q_r = W^{S - {r}}, ed(D(R)) is the
 minimum of ed(D(r)) over r in R, and the md pairs of D(R) are lifts of
@@ -75,7 +75,7 @@ route for the remaining exceptional quotients.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .bruhat import bruhat_leq, orbits, quotient_dimension, quotient_stratum
 from .dynkin import (
@@ -96,10 +96,10 @@ if TYPE_CHECKING:
     from .weyl import WeylElement, WeylGroupContext, Word
 
 DEFAULT_BUDGET = 10**6
-# Largest group any command admits.  Its context is built only by the
-# pair-by-pair sweep and `MdPair.u` / `.v`: A100 (5,050 positive roots)
-# builds in about 0.12 s, B71, C71 and D71 in about 0.09-0.13 s.  Commands
-# on weights alone keep the limit: `decompose A100 1,2,3,4,5,6,7 1` runs
+# Largest group any command admits.  No command builds its context, only
+# `MdPair.u` / `.v` and the library: A100 (5,050 positive roots) builds in
+# about 0.12 s, B71, C71 and D71 in about 0.09-0.13 s.  The commands, on
+# weights alone, keep the limit: `decompose A100 1,2,3,4,5,6,7 1` runs
 # in about 0.11 s and `ed A100 1` in about 0.16 s, each at 15 MB peak RSS.
 # (Python 3.11 on 2 cores.)
 MAX_POSITIVE_ROOTS = 5050
@@ -112,16 +112,18 @@ MAX_STRATUM_ENTRIES = 10**8
 # is built: its up-sets take |Q_i|^2 / 16 bytes.  E8 node 3 (69,120
 # cosets) gets one, and `ed E8 3 --mode brute` runs in about 2 s at 0.35 GB
 # peak RSS; a marked set with a larger quotient, such as A19(10) (184,756)
-# or B17(17) (131,072), is compared pair by pair instead.
+# or B17(17) (131,072), is compared pair by pair on words instead
+# (_Strata.lifting): `ed A19 10` runs in about 0.2 s at 16 MB.
 MAX_COSETS = 100_000
 
 _context_cache: dict[DynkinSpec, WeylGroupContext] = {}
 
 
-# build_group is a module global that imports weyl when called, so a coset
-# sweep loads no root system, and a tracer or a test can still replace it
-# here (get_context calls it).  Nothing here calls decompose: it is kept
-# only for perfbench/trace_cmd.py, which wraps it, and the export test.
+# build_group is a module global that imports weyl when called, so no
+# sweep loads a root system, and a tracer or a test can still replace it
+# here (get_context calls it).  Nothing here calls decompose, bruhat_leq or
+# quotient_stratum: they are kept because perfbench/trace_cmd.py wraps each
+# of them on this module (and the export test reads decompose).
 def build_group(spec: DynkinSpec) -> WeylGroupContext:
     """weyl.build_group: the root system of spec, built from scratch."""
     from .weyl import build_group
@@ -260,8 +262,8 @@ def _infeasibility(md: MarkedDiagram, budget: int) -> None:
     it.  A marked set with a node over MAX_COSETS is swept pair by pair,
     which is cheap only when the sweep fails early.  A closed form says
     where it fails; without one the sweep may run through the middle
-    strata, and E8(4) and E8(5) ran out of memory that way, so they are
-    refused.  J is formed only once the root count is admitted.
+    strata (E8(4) runs through degree 52 in about 2 minutes), so such a
+    set is refused.  J is formed only once the root count is admitted.
     """
     spec = md.spec
     _roots(spec)
@@ -282,19 +284,6 @@ def _require_marked(md: MarkedDiagram) -> None:
 # -- degree sweep ------------------------------------------------------------
 
 
-def _pairwise(spec: DynkinSpec, jset: frozenset[int], len_v: int, len_u: int):
-    """(k_v, [k_u, ...]) for each v of stratum len_v of W^J not below some u of stratum len_u.
-
-    The shape of _Strata.violations, compared pair by pair with bruhat_leq
-    on the strata of the shared context.  Indices are stratum order.
-    """
-    ctx = get_context(spec)
-    us = quotient_stratum(ctx, jset, len_u)
-    for k_v, v in enumerate(quotient_stratum(ctx, jset, len_v)):
-        if hit := [k_u for k_u, u in enumerate(us) if not bruhat_leq(ctx, v, u)]:
-            yield k_v, hit
-
-
 def _sweep_degree(
     spec: DynkinSpec, jset: frozenset[int], s: int
 ) -> list[tuple[int, Word, Word]]:
@@ -305,14 +294,14 @@ def _sweep_degree(
     half l(v) <= c^J(u) holds a violation of degree s whenever one exists,
     for every J.  The sweep holds one strata store of W^J, and each bucket
     l(v) is compared by one generator of (k_v, [k_u, ...]) pairs: the
-    store's violations on coset orders, or _pairwise with bruhat_leq for a
+    store's violations on coset orders, or its lifting on words for a
     marked set with a node over MAX_COSETS (_oversize_cosets).  The
     canonical words of the pairs it yields are peeled off the store's
     weights, each u once per bucket.  Pairs come in bucket order: l(v)
     ascending, then stratum order of v and of u.
     """
     store = orbits(spec).store(jset, 0)
-    compare = partial(_pairwise, spec, jset) if _oversize_cosets(spec, jset) else store.violations
+    compare = store.lifting if _oversize_cosets(spec, jset) else store.violations
     out: list[tuple[int, Word, Word]] = []
     for len_v in range(max(1, s - store.dim), s // 2 + 1):
         len_u = store.dim - (s - len_v)

@@ -254,6 +254,36 @@ def test_coset_orders_match_recursion(diagram):
                 assert bruhat_leq(ctx, v, u) == bool(up >> b & 1), (i, v, u)
 
 
+@pytest.mark.parametrize(
+    "diagram,flag",
+    [("A1", 1), ("A2", 1), ("A3", 1), ("A4", 1), ("A5", 0), ("B2", 1), ("B3", 1), ("B4", 1),
+     ("C3", 1), ("D4", 1), ("D5", 0), ("G2", 1), ("F4", 0), ("E6", 0)],
+)
+def test_lifting_matches_recursion_on_whole_strata(diagram, flag):
+    # the pair-by-pair comparisons against the descent recursion, for every
+    # (l(v), l(u)) of every maximal quotient up to 300 cosets and of a few
+    # flags: l(v) = 0, l(v) >= l(u) and l(v) > dim/2 included, which the
+    # halved sweep never asks for
+    spec = DynkinSpec.parse(diagram)
+    ctx = get_context(spec)
+    nodes = frozenset(spec.nodes)
+    jsets = [nodes - {i} for i in spec.nodes] + [frozenset()] * flag
+    checked = 0
+    for jset in jsets:
+        if quotient_size(spec, jset) > 750:
+            continue
+        store = orbits(spec).store(jset, 0)
+        strata = [quotient_stratum(ctx, jset, l) for l in range(store.dim + 1)]
+        for (len_v, vs), (len_u, us) in itertools.product(enumerate(strata), repeat=2):
+            expected = [
+                (k_v, hit) for k_v, v in enumerate(vs)
+                if (hit := [k_u for k_u, u in enumerate(us) if not bruhat_leq(ctx, v, u)])
+            ]
+            assert list(store.lifting(len_v, len_u)) == expected, (jset, len_v, len_u)
+            checked += 1
+    assert checked > 0
+
+
 def test_subword_oracle_examples():
     a2 = get_context(DynkinSpec("A", 2))
     assert subword_oracle(a2, (), (2, 1))

@@ -339,6 +339,15 @@ def test_oversize_classical_quotient_swept_pair_by_pair(capsys, monkeypatch):
 
 # stdout of commands answered on weights alone, recorded from this program
 SWEEPS_WITHOUT_CONTEXT = {
+    # node 10 of A19 is over MAX_COSETS: the pair-by-pair path, on words
+    ("ed", "A19", "10"): (
+        "ed A19(10) mode=both\ned = 19\nmethod = both\nclosed_form = 19\nbrute_force = 19\n"
+        "witness: l(v)= 10 c(u)= 10 v=[1,2,3,4,5,6,7,8,9,10] "
+        "u=[11,10,9,8,7,6,5,4,3,2,12,11,10,9,8,7,6,5,4,3,13,12,11,10,9,8,7,6,5,4,"
+        "14,13,12,11,10,9,8,7,6,5,15,14,13,12,11,10,9,8,7,6,16,15,14,13,12,11,10,9,8,7,"
+        "17,16,15,14,13,12,11,10,9,8,18,17,16,15,14,13,12,11,10,9,"
+        "19,18,17,16,15,14,13,12,11,10]\n"
+    ),
     ("ed", "A50", "1"): (
         "ed A50(1) mode=both\ned = 50\nmethod = both\nclosed_form = 50\n"
         "brute_force = 50\ncapped at the dimension\nwitness: l(v)= 1 c(u)= 50 v=[1] u=[]\n"
@@ -389,7 +398,7 @@ SWEEPS_WITHOUT_CONTEXT = {
 
 @pytest.mark.parametrize("argv", list(SWEEPS_WITHOUT_CONTEXT), ids=" ".join)
 def test_sweeps_build_no_root_system(capsys, monkeypatch, argv):
-    # the coset sweep reads weights, coset orders and words peeled off the
+    # the sweeps read weights, coset orders and words peeled off the
     # weights, and so do `strata` and `decompose`: no WeylGroupContext
     import egd.engine
 
@@ -401,30 +410,6 @@ def test_sweeps_build_no_root_system(capsys, monkeypatch, argv):
     monkeypatch.setattr(egd.engine, "build_group", no_build)
     assert run(capsys, *argv) == (0, SWEEPS_WITHOUT_CONTEXT[argv], "")
     assert built == {}
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # node 10 of A19 is over MAX_COSETS: the pair-by-pair path
-        ("ed", "A19", "10"),
-    ],
-    ids=" ".join,
-)
-def test_element_commands_build_one_context(capsys, monkeypatch, argv):
-    import egd.engine
-    from egd import DynkinSpec
-
-    build, builds = egd.engine.build_group, []
-
-    def counting_build(spec):
-        builds.append(spec)
-        return build(spec)
-
-    monkeypatch.setattr(egd.engine, "_context_cache", {})
-    monkeypatch.setattr(egd.engine, "build_group", counting_build)
-    assert run(capsys, *argv)[0] == 0
-    assert builds == [DynkinSpec.parse(argv[1])]
 
 
 def test_root_limit_admits_the_largest_benchmarked_groups():
@@ -625,8 +610,9 @@ DECOMPOSE_D5 = ["decompose", "D5", "4,3,5,2,3,4,1,2,3,5,1,2,3,1,2,1", "2,3,4,5"]
 @pytest.mark.parametrize(
     "argv,loaded",
     [
-        # the coset sweep, listing, classification and morphism test run on weights
+        # both sweeps, listing, classification and morphism test run on weights
         (["ed", "A50", "1"], []),
+        (["ed", "A19", "10"], []),
         (["mdpairs", "D5", "all", "--classify"], []),
         (["morphism", "D5:1", "A3:1"], []),
         # so do a stratum listing and a decomposition

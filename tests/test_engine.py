@@ -103,8 +103,8 @@ def test_has_egd_up_to():
 
 
 def test_has_egd_compares_oversize_quotient_pair_by_pair():
-    # node 4 of E8 has 483,840 cosets: one degree is still answered, by
-    # bruhat_leq, without building its coset order
+    # node 4 of E8 has 483,840 cosets: one degree is still answered, on
+    # canonical words by the lifting property, without building its coset order
     ctx = get_context(DynkinSpec("E", 8))
     assert has_egd_up_to(ctx, frozenset(ctx.spec.nodes) - {4}, 2)
     assert 4 not in orbits(ctx.spec).coset_orders
@@ -113,31 +113,42 @@ def test_has_egd_compares_oversize_quotient_pair_by_pair():
     assert 1 in orbits(ctx.spec).coset_orders
 
 
-def test_pair_by_pair_sweep_matches_coset_orders(monkeypatch):
-    # both sides of the MAX_COSETS selection on the same inputs: a limit of
-    # 0 sends every marked set to the pair-by-pair path of a fresh context
-    # and a fresh weight layer
+@pytest.fixture
+def pair_by_pair():
+    """MAX_COSETS = 0: every marked set is swept pair by pair."""
     import egd.engine
 
-    cases = [("D4", ()), ("D4", (2,)), ("B3", (1,)), ("G2", ()), ("A3", (1, 3))]
-    expected = {}
-    for diagram, jset in cases:
-        spec, jset = DynkinSpec.parse(diagram), frozenset(jset)
-        expected[diagram, jset] = [
-            _sweep_degree(spec, jset, s) for s in range(1, dimension(spec, jset) + 2)
-        ]
-    monkeypatch.setattr(egd.engine, "MAX_COSETS", 0)
-    monkeypatch.setattr(egd.engine, "_context_cache", {})
-    egd.engine._oversize_cosets.cache_clear()
-    orbits.cache_clear()
-    try:
-        for diagram, jset in cases:
-            spec, jset = DynkinSpec.parse(diagram), frozenset(jset)
-            got = [_sweep_degree(spec, jset, s) for s in range(1, dimension(spec, jset) + 2)]
-            assert got == expected[diagram, jset], (diagram, jset)
-            assert orbits(spec).coset_orders == {}
-    finally:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(egd.engine, "MAX_COSETS", 0)
         egd.engine._oversize_cosets.cache_clear()
+        yield
+    egd.engine._oversize_cosets.cache_clear()
+
+
+def test_pair_by_pair_sweep_matches_coset_orders(request):
+    # both sides of the MAX_COSETS selection on the same inputs, at every
+    # degree: a limit of 0 sends every marked set to the pair-by-pair path
+    # of a fresh weight layer.  EGD_EXTENDED=1 runs every marked set up to
+    # 3,000 cosets, tier-1 those up to 200
+    diagrams = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2",
+                "F4", "E6"]
+    cases = [
+        (md.spec, md.parabolic_set)
+        for diagram in diagrams
+        for md in _marked_sets(DynkinSpec.parse(diagram))
+        if quotient_size(md.spec, md.parabolic_set) <= (3000 if EXTENDED else 200)
+    ]
+    expected = [
+        [_sweep_degree(spec, jset, s) for s in range(1, dimension(spec, jset) + 2)]
+        for spec, jset in cases
+    ]
+    request.getfixturevalue("pair_by_pair")
+    orbits.cache_clear()
+    for (spec, jset), sweeps in zip(cases, expected):
+        got = [_sweep_degree(spec, jset, s) for s in range(1, dimension(spec, jset) + 2)]
+        assert got == sweeps, (spec, jset)
+        assert orbits(spec).coset_orders == {}
+    assert len(cases) == (194 if EXTENDED else 137)
 
 
 def test_has_egd_monotone():
@@ -480,10 +491,14 @@ def _half_violations(ctx, jset, s):
     ]
 
 
-def test_sweep_matches_recursion_at_every_degree():
+@pytest.mark.parametrize("route", ["coset_orders", "pair_by_pair"])
+def test_sweep_matches_recursion_at_every_degree(request, route):
     # sweep vs a second Bruhat algorithm at every degree 1..dim + 1, not only
-    # up to the first failing one; EGD_EXTENDED=1 runs all 116 marked sets of
+    # up to the first failing one, on both sides of the MAX_COSETS selection;
+    # EGD_EXTENDED=1 runs all 116 marked sets of
     # test_halved_sweep_is_complete, tier-1 the ones with |W^J| <= 200
+    if route == "pair_by_pair":
+        request.getfixturevalue("pair_by_pair")
     cap = 3000 if EXTENDED else 200
     checked = violations = 0
     for diagram in ("A4", "B3", "B4", "C4", "D4", "D5", "F4", "G2"):
