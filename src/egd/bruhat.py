@@ -10,9 +10,12 @@ is the library comparison and the tests' reference; no sweep calls it,
 and an exhaustive subword scan is kept as an independent test oracle.
 
 The weight layer needs no root system.  One Orbits object per spec, built
-from the Cartan matrix and sigma = -w_0 on nodes (dynkin), holds a strata
-store per J (_Strata); the sweep reads it directly, and every context of
-the spec reads the same one.  x -> x(lambda_R), lambda_R the sum of the
+from the nonzero Cartan entries (dynkin.cartan_rows, O(rank)) and
+sigma = -w_0 on nodes (dynkin), holds a strata store per J (_Strata) in
+one registry; the sweep reads it directly, and every context of the spec
+reads the same one.  A store holds only the strata it has grown and the
+per-stratum tables it has filled: no table of dim G/P_J + 1 slots, and
+no rank x rank matrix.  x -> x(lambda_R), lambda_R the sum of the
 fundamental weights omega_i of the nodes i outside J, maps W^J onto the
 orbit W lambda_R: its stabiliser is W_J (Humphreys, Reflection Groups and
 Coxeter Groups, 1.12).  Strata up to dim/2 grow breadth first
@@ -45,7 +48,8 @@ i outside J.
   a lies above a.
 - Coset rows (P_i(x), i outside J) are one family the walk fills: the row
   of s_j x is act_j of the row of x.
-Coset orders are built only when a sweep asks for coset rows.  The store
+Coset orders are built only when a sweep asks for coset rows, each
+once, on the store that Orbits.strata already holds.  The store
 of W^J answers the sweep's comparisons: _Strata.violations yields, per
 failing v of a stratum, the indices of the u it is not below, and the
 store alone knows the coset-row layout (one coset id per node outside J,
@@ -60,7 +64,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .dynkin import DynkinSpec, cartan_matrix, check_length, dimension, opposition
+from .dynkin import DynkinSpec, cartan_rows, check_length, dimension, opposition
 from .errors import ContextMismatch, NonReducedInput
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing
@@ -146,50 +150,51 @@ def quotient_dimension(ctx: WeylGroupContext, jset) -> int:
 class _Strata:
     """One W^J by length 0..dim, grown on the weights x(lambda_R), with its comparisons.
 
-    ``weights[l]`` (l <= dim/2) lists stratum l's weights in stratum order;
-    weight k is s_j of weight b of stratum l - 1 for ``parents[l][k] = (b, j)``.
+    The store holds only what it has grown.  ``weights`` and ``parents``
+    grow by appending, one entry per stratum l <= dim/2 grown so far:
+    ``weights[l]`` lists stratum l's weights in stratum order, and weight k
+    is s_j of weight b of stratum l - 1 for ``parents[l][k] = (b, j)``.
     Element k of stratum l > dim/2 is w_0 x w_{0J}, x element k of stratum
     dim - l, of weight w_0 mu = -sigma(mu) (``antipode``).  ``walk`` fills
-    any per-element family from these records.  Strata are grown up to
-    depth ``grown``.  ``marked`` lists the nodes outside J, ascending: a
-    coset row holds one coset id per marked node, in that order.  Coset
-    rows and masks of a stratum are filled on first use, and so are its
-    sorted reversed words (``_suffixes``), which ``lifting`` reads.
+    any per-element family from these records.  ``marked`` lists the nodes
+    outside J, ascending: a coset row holds one coset id per marked node,
+    in that order.  Coset rows and masks of a stratum, and its sorted
+    reversed words (``_suffixes``, which ``lifting`` reads), are filled on
+    first use into dicts keyed by the stratum.
 
     The store of a maximal quotient W^{S - {i}} is also the coset order of
-    node i once ``order`` has filled ``size``, ``act`` and ``up``.
+    node i once ``order`` has filled ``act`` and ``up``; it has len(up)
+    cosets.
     """
 
-    __slots__ = ("dim", "layer", "marked", "weights", "parents", "grown", "_rows", "_masks",
-                 "_suffixes", "ups", "size", "act", "up")
+    __slots__ = ("dim", "layer", "marked", "weights", "parents", "_rows", "_masks", "_suffixes",
+                 "ups", "act", "up")
 
     def __init__(self, layer: "Orbits", jset: frozenset[int]):
-        self.dim = dim = dimension(layer.spec, jset)
+        self.dim = dimension(layer.spec, jset)
         self.layer = layer
         self.marked = [i for i in layer.spec.nodes if i not in jset]
-        self.weights = [[tuple(int(i not in jset) for i in layer.spec.nodes)]] + [None] * dim
-        self.parents = [None] * (dim + 1)
-        self.grown = 0
-        self._rows, self._masks, self._suffixes = ([None] * (dim + 1) for _ in range(3))
-        self.ups = self.size = self.act = self.up = None
+        self.weights = [[tuple(int(i not in jset) for i in layer.spec.nodes)]]
+        self.parents = [None]
+        self._rows, self._masks, self._suffixes = {}, {}, {}
+        self.ups = self.act = self.up = None
 
     def grow(self, l: int) -> None:
         """Grow strata up to min(l, dim - l): mu has the children s_j(mu), mu_j > 0."""
         weights, reflect = self.weights, self.layer.reflect
-        for depth in range(self.grown + 1, min(l, self.dim - l) + 1):
+        for _ in range(len(weights), min(l, self.dim - l) + 1):
             children: dict = {}
-            for b, mu in enumerate(weights[depth - 1]):
+            for b, mu in enumerate(weights[-1]):
                 for j, p in enumerate(mu):
                     if p > 0:
                         children.setdefault(reflect(mu, j), (b, j))
-            self.parents[depth] = list(children.values())
-            weights[depth] = list(children)
-            self.grown = depth
+            self.parents.append(list(children.values()))
+            weights.append(list(children))
 
-    def walk(self, l: int, levels: list, bottom, top, step) -> list:
+    def walk(self, l: int, levels: dict, bottom, top, step) -> list:
         """Fill stratum l of a per-element family ``levels`` from the records; return it.
 
-        ``levels`` has dim + 1 entries, None where not yet filled; strata up
+        ``levels`` maps each stratum filled so far to its values; strata up
         to min(l, dim - l) must be grown.  Up to dim/2 the value of s_j x_b
         is step(value of x_b, j), from ``bottom`` at the identity.  Above,
         element k of stratum m is y = w_0 x w_{0J} with x = s_j x_b by the
@@ -202,7 +207,7 @@ class _Strata:
         gens = range(len(self.layer.sigma)) if up else self.layer.sigma
         above = None
         for m in range(l + 1) if up else range(dim, l - 1, -1):
-            if levels[m] is None:
+            if m not in levels:
                 levels[m] = [bottom if up else top] if above is None else [
                     step(above[b], gens[j]) for b, j in self.parents[m if up else dim - m]
                 ]
@@ -216,15 +221,16 @@ class _Strata:
         return self.layer.peel(self.layer.antipode(mu) if dual else mu)
 
     def order(self) -> "_Strata":
-        """Fill the coset order of a maximal quotient Q_i = W^{S - {i}}; return the store.
+        """The store as the coset order of a maximal quotient Q_i = W^{S - {i}}, filled once.
 
         Cosets are numbered by the strata read top down: element k of
         stratum l is coset k plus the number of cosets longer than l, so the
-        top coset is 0, the identity coset size - 1, and lengths do not
+        top coset is 0, the identity coset len(up) - 1, and lengths do not
         increase.  ``act[j - 1][c]`` is the coset of s_j * c (c when s_j
-        fixes it), and bit b of ``up[c]`` is set iff coset b >= c.  Called
-        once per node, by Orbits.coset_order.
+        fixes it), and bit b of ``up[c]`` is set iff coset b >= c.
         """
+        if self.up is not None:
+            return self
         n, dim, antipode = self.layer.spec.rank, self.dim, self.layer.antipode
         self.grow(dim // 2)
         weights = [  # by coset id: the strata top down
@@ -233,7 +239,7 @@ class _Strata:
         ]
         index = {mu: c for c, mu in enumerate(weights)}
         reflect = self.layer.reflect
-        self.size = size = len(weights)
+        size = len(weights)
         self.act = act = [  # ids from index: every table shares its int objects
             [index[reflect(mu, j)] if mu[j] else c for mu, c in index.items()]
             for j in range(n)
@@ -261,20 +267,20 @@ class _Strata:
         Filling a stratum also sets ``ups``, the up-set tables of the
         marked nodes' coset orders, which violations reads.
         """
-        if self._rows[l] is None:  # acts cost a pass per call: only when a level is missing
+        if l not in self._rows:  # acts cost a pass per call: only when a level is missing
             orders = [self.layer.coset_order(i) for i in self.marked]
             self.ups = [o.up for o in orders]
             acts = [[o.act[j] for o in orders] for j in range(self.layer.spec.rank)]
             self.grow(l)
             self.walk(
-                l, self._rows, tuple(o.size - 1 for o in orders), (0,) * len(orders),
+                l, self._rows, tuple(len(o.up) - 1 for o in orders), (0,) * len(orders),
                 lambda row, j: tuple([a[c] for a, c in zip(acts[j], row)]),
             )
         return self._rows[l]
 
     def masks(self, l: int) -> list[int]:
         """Per marked node, the bitset of the cosets of stratum l."""
-        if self._masks[l] is None:
+        if l not in self._masks:
             self._masks[l] = [sum(1 << c for c in set(column)) for column in zip(*self.cosets(l))]
         return self._masks[l]
 
@@ -322,7 +328,7 @@ class _Strata:
         """
         for l in (len_v, len_u):
             self.grow(l)
-        if self._suffixes[len_u] is None:
+        if len_u not in self._suffixes:
             words = sorted(
                 (tuple(j - 1 for j in reversed(self.word(len_u, k))), k)
                 for k in range(len(self.weights[min(len_u, self.dim - len_u)]))
@@ -363,24 +369,24 @@ def _misses(row, masks, ups) -> list[int]:
 class Orbits:
     """The weight layer of one diagram: a strata store per J.
 
-    It needs only the Cartan matrix and sigma = -w_0 on nodes (dynkin), so
-    the degree sweep runs on it without a WeylGroupContext.  There is one
-    per spec (``orbits``), which every context of that spec reads too.
-    Weights are in fundamental-weight coordinates; ``alphas[j]`` lists the
-    nonzero (k, a) of alpha_j, row j of the Cartan matrix, and
-    s_j(mu) = mu - mu_j * alpha_j.  ``sigma[j]`` is sigma(j + 1) - 1, and
-    w_0 alpha_k = -alpha_sigma(k), so w_0(mu) = -sigma(mu), the ``antipode``.
-    ``coset_orders`` maps each node whose coset order is built to the store
-    of its maximal quotient.
+    It needs only the nonzero Cartan entries and sigma = -w_0 on nodes
+    (dynkin), so the degree sweep runs on it without a WeylGroupContext,
+    and it holds O(rank) of them.  There is one per spec (``orbits``),
+    which every context of that spec reads too.  Weights are in
+    fundamental-weight coordinates; ``alphas[j]`` lists the nonzero (k, a)
+    of alpha_j, row j of the Cartan matrix, by ascending k (cartan_rows),
+    and s_j(mu) = mu - mu_j * alpha_j.  ``sigma[j]`` is sigma(j + 1) - 1,
+    and w_0 alpha_k = -alpha_sigma(k), so w_0(mu) = -sigma(mu), the
+    ``antipode``.  ``strata`` maps each J whose store was asked for to it,
+    and is the only registry: the coset order of node i is the store of
+    W^{S - {i}}.
     """
 
-    __slots__ = ("spec", "alphas", "sigma", "reflect", "antipode", "strata", "coset_orders")
+    __slots__ = ("spec", "alphas", "sigma", "reflect", "antipode", "strata")
 
     def __init__(self, spec: DynkinSpec):
         self.spec = spec
-        self.alphas = alphas = [
-            [(k, a) for k, a in enumerate(row) if a] for row in cartan_matrix(spec)
-        ]
+        self.alphas = alphas = cartan_rows(spec)
         self.sigma = sigma = [k - 1 for k in opposition(spec)]
 
         def reflect(mu, j):
@@ -392,7 +398,6 @@ class Orbits:
         self.reflect = reflect
         self.antipode = lambda mu: tuple([-mu[k] for k in sigma])
         self.strata: dict[frozenset[int], _Strata] = {}
-        self.coset_orders: dict[int, _Strata] = {}
 
     def peel(self, mu) -> Word:
         """Canonical word of the shortest x with x(lambda) = mu, lambda dominant.
@@ -440,10 +445,7 @@ class Orbits:
 
     def coset_order(self, node: int) -> _Strata:
         """The coset order of ``node``, the store of W^{S - {node}}: built once per spec."""
-        if node not in self.coset_orders:
-            jset = frozenset(self.spec.nodes) - {node}
-            self.coset_orders[node] = self.store(jset, 0).order()
-        return self.coset_orders[node]
+        return self.store(frozenset(self.spec.nodes) - {node}, 0).order()
 
 
 @lru_cache(maxsize=None)
@@ -462,8 +464,8 @@ def quotient_stratum(ctx: WeylGroupContext, jset, l: int) -> list[WeylElement]:
     """
     jset = frozenset(jset)
     store = orbits(ctx.spec).store(jset, l)
-    levels = ctx._strata.setdefault(jset, [None] * (store.dim + 1))
-    if levels[l] is None:
+    levels = ctx._strata.setdefault(jset, {})
+    if l not in levels:
         gens = ctx.simple_reflections
         top = None  # w_0 w_{0J} takes N_J steps: only for a walk down from it
         if 2 * l > store.dim:

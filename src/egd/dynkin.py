@@ -152,30 +152,30 @@ def bonds(spec: DynkinSpec) -> list[tuple[int, int, int]]:
     return [(1, 2, 6)]  # G2
 
 
-def cartan_matrix(spec: DynkinSpec) -> tuple[tuple[int, ...], ...]:
-    """Integer Cartan matrix, entry [i][j] = <alpha_i, alpha_j^v>.
+def cartan_rows(spec: DynkinSpec) -> list[list[tuple[int, int]]]:
+    """The nonzero entries of the Cartan matrix, row by row, from the bonds in O(rank).
 
+    ``rows[i]`` lists (j, [i][j]) by ascending j, both indices 0-based.
     Family C is served the B table: the two groups are identical and only
     the group structure matters here.
     """
     if spec.family == "C":
         spec = DynkinSpec("B", spec.rank)
-    n = spec.rank
-    cart = [[0] * n for _ in range(n)]
-    for i in range(n):
-        cart[i][i] = 2
+    # ([i][j], [j][i]) of a bond (i, j, m): a double bond points from the
+    # long root i to the short root j; in G2 alpha_1 is short
+    entries = {3: (-1, -1), 4: (-2, -1), 6: (-1, -3)}
+    rows = [[(i, 2)] for i in range(spec.rank)]
     for i, j, mult in bonds(spec):
-        a, b = i - 1, j - 1
-        if mult == 3:
-            cart[a][b] = cart[b][a] = -1
-        elif mult == 4:
-            # double bond points from the long root i to the short root j
-            cart[a][b] = -2
-            cart[b][a] = -1
-        else:  # G2: alpha_1 short, alpha_2 long
-            cart[a][b] = -1
-            cart[b][a] = -3
-    return tuple(tuple(row) for row in cart)
+        ij, ji = entries[mult]
+        rows[i - 1].append((j - 1, ij))
+        rows[j - 1].append((i - 1, ji))
+    return [sorted(row) for row in rows]
+
+
+def cartan_matrix(spec: DynkinSpec) -> tuple[tuple[int, ...], ...]:
+    """Integer Cartan matrix, entry [i][j] = <alpha_i, alpha_j^v>: the dense view of cartan_rows."""
+    rows = [dict(row) for row in cartan_rows(spec)]
+    return tuple(tuple(row.get(j, 0) for j in range(len(rows))) for row in rows)
 
 
 def opposition(spec: DynkinSpec) -> tuple[int, ...]:

@@ -101,7 +101,11 @@ DEFAULT_BUDGET = 10**6
 # about 0.12 s, B71, C71 and D71 in about 0.09-0.13 s.  The commands, on
 # weights alone, keep the limit: `decompose A100 1,2,3,4,5,6,7 1` runs
 # in about 0.11 s and `ed A100 1` in about 0.16 s, each at 15 MB peak RSS.
-# (Python 3.11 on 2 cores.)
+# (Python 3.11 on 2 cores.)  For `strata` and `decompose` it guards no
+# allocation: the weight layer holds O(rank) Cartan entries and only the
+# strata it grows, so `strata A500000 0` and `decompose A20000 1,2,3 1`
+# answer under a 2 GB address-space limit once the limit is lifted.  It
+# stays only so that their refusals keep their bytes.
 MAX_POSITIVE_ROOTS = 5050
 # Largest stratum `egd strata` lists, in entries: the rank-wide weights of
 # the strata it grows plus the letters of its words (stratum); 10**8
@@ -452,7 +456,8 @@ def _resolve_ed(side, *, budget: int):
     """A callable giving (ed value, display label) of a marked diagram or an int.
 
     Every refusal of the side is raised here, not by the callable, so both
-    sides of a morphism are checked before either builds a context.
+    sides of a morphism are checked before either is swept; the callable
+    sweeps (_brute_ed) without admitting the side again.
     """
     if isinstance(side, int):
         if side < 0:
@@ -463,10 +468,7 @@ def _resolve_ed(side, *, budget: int):
     if cf is not None:
         return lambda: (cf, side.label())
     _infeasibility(side, budget)
-    return lambda: (
-        effective_divisibility(side, "brute_force", budget=budget).value,
-        side.label(),
-    )
+    return lambda: (_brute_ed(side.spec, side.parabolic_set)[0], side.label())
 
 
 def morphism_constancy(

@@ -147,9 +147,9 @@ class WeylGroupContext:
         self.simple_reflections = tuple(gens)
         # keyed by (v.id << 32) | u.id (ids stay below 2**32), see bruhat_leq
         self.bruhat_cache: dict[int, bool] = {}
-        # J -> stratum l of W^J as elements at [l], None until built; the
+        # J -> {l: stratum l of W^J as elements}, the strata built so far; the
         # weights and coset orders are per spec (bruhat.quotient_stratum)
-        self._strata: dict[frozenset[int], list] = {}
+        self._strata: dict[frozenset[int], dict[int, list]] = {}
         self.longest_element = self._make(w0)
         self._longest_parabolic = {frozenset(spec.nodes): self.longest_element}
 

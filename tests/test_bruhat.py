@@ -238,7 +238,7 @@ def test_coset_orders_match_recursion(diagram):
         jset = frozenset(spec.nodes) - {i}
         order = coset_order(ctx, i)
         elems, cosets = [], []
-        first = order.size
+        first = len(order.up)
         for l in range(quotient_dimension(ctx, jset) + 1):
             elems += quotient_stratum(ctx, jset, l)
             level = [c for (c,) in quotient_cosets(ctx, jset, l)]
@@ -246,8 +246,8 @@ def test_coset_orders_match_recursion(diagram):
             assert level == list(range(first, first + len(level))), (i, l)
             cosets += level
         assert first == 0
-        assert order.size == len(elems) == quotient_size(spec, jset)
-        assert cosets[0] == order.size - 1  # the identity coset comes last
+        assert len(order.up) == len(elems) == quotient_size(spec, jset)
+        assert cosets[0] == len(order.up) - 1  # the identity coset comes last
         for v, a in zip(elems, cosets):
             up = order.up[a]
             for u, b in zip(elems, cosets):

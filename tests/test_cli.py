@@ -334,7 +334,7 @@ def test_oversize_classical_quotient_swept_pair_by_pair(capsys, monkeypatch):
         "brute_force = 19",
     ]
     assert lines[5].startswith("witness: l(v)= 10 c(u)= 10 v=[1,2,3,4,5,6,7,8,9,10] u=[11,10,")
-    assert orbits(DynkinSpec.parse("A19")).coset_orders == {}
+    assert all(store.up is None for store in orbits(DynkinSpec.parse("A19")).strata.values())
 
 
 # stdout of commands answered on weights alone, recorded from this program
@@ -630,6 +630,26 @@ def test_commands_load_only_the_modules_they_run(argv, loaded):
     )
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == str(loaded)
+
+
+def test_weight_layer_holds_only_what_it_grows():
+    # with the root limit lifted, the weight layer answers a stratum of
+    # A100000 (N = 5 * 10**9) and a word of A20000 in a process capped at
+    # 2 GB of address space, as the CI's `ulimit -v` steps cap theirs: a
+    # rank x rank Cartan matrix or a table of dim G/P_J + 1 slots fails
+    # there with MemoryError instead of swapping
+    proc = _python(
+        "-S", "-c",
+        "import resource\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, hard))\n"
+        "import egd.engine as engine\n"
+        "from egd.dynkin import DynkinSpec\n"
+        "engine.MAX_POSITIVE_ROOTS = 10**15\n"
+        "print(engine.stratum(DynkinSpec('A', 100000), frozenset(), 0))\n"
+        "print(engine.decomposition(DynkinSpec('A', 20000), '1,2,3', {1}))",
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[()]\n((1, 2, 3), ())\n", "")
 
 
 # the package's exports when it imported every module eagerly

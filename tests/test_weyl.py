@@ -18,6 +18,7 @@ from egd import (
 from egd.dynkin import (
     _RANK_BOUNDS,
     cartan_matrix,
+    cartan_rows,
     degrees,
     num_positive_roots,
     opposition,
@@ -388,6 +389,25 @@ def dense_reference(cartan):
         if i is None:
             return roots, gens, w0
         w0 = compose(w0, gens[i])
+
+
+# Cartan matrices written out, entry [i][j] = <alpha_i, alpha_j^v>: a double
+# bond points from the long root (alpha_2 of B3 and F4) to the short one, C3
+# is served the B3 table, and alpha_1 of G2 is short
+ORIENTED_CARTAN = {
+    "B3": ((2, -1, 0), (-1, 2, -2), (0, -1, 2)),
+    "C3": ((2, -1, 0), (-1, 2, -2), (0, -1, 2)),
+    "F4": ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
+    "G2": ((2, -1), (-3, 2)),
+}
+
+
+@pytest.mark.parametrize("diagram", sorted(ORIENTED_CARTAN))
+def test_cartan_entries_are_oriented(diagram):
+    # the weight layer reads the sparse rows, the context build the dense view
+    spec, matrix = DynkinSpec.parse(diagram), ORIENTED_CARTAN[diagram]
+    assert cartan_matrix(spec) == matrix
+    assert cartan_rows(spec) == [[(j, a) for j, a in enumerate(row) if a] for row in matrix]
 
 
 TABLE_SPECS = (
