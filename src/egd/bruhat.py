@@ -24,15 +24,15 @@ up iff mu_j > 0, and in x W_J iff mu_j = 0; s_j is a left descent iff
 mu_j < 0.  Each grown weight keeps a record (parent, j).  Stratum l > dim/2
 is the image of stratum dim - l under x -> w_0 x w_{0J}, which reverses the
 Bruhat order on W^J (Bjorner-Brenti, GTM 231, ch. 2); the weight of the
-image is w_0 mu = -sigma(mu).  Every per-element family (coset rows, root
-permutations) is filled from the records by one walk (_Strata.walk): up
-from the identity to dim/2, down from the top w_0 w_{0J} above it.  A
-canonical word is peeled off a weight (Orbits.peel), and so is the
-shortest element of x W_{S - R} for any word of x, off x(lambda_R)
-(Orbits.project): the projection P_r(x) to a maximal quotient, the
-factor x^J of x = x^J x_J, and with lambda = rho the word of x itself.
-Root permutations are built only by quotient_stratum, one left product
-per element, and kept on the context.
+image is w_0 mu = -sigma(mu).  That mirror is the one mechanism for the
+upper half: words, coset rows and coset ids above dim/2 are read off the
+strata below, and nothing walks down from w_0 w_{0J}.  A canonical word
+is peeled off a weight (Orbits.peel), and so is the shortest element of
+x W_{S - R} for any word of x, off x(lambda_R) (Orbits.project): the
+projection P_r(x) to a maximal quotient, the factor x^J of x = x^J x_J,
+and with lambda = rho the word of x itself.
+Root permutations are built only by quotient_stratum, each evaluated from
+its canonical word, and kept on the context.
 
 Coset orders decide the sweep's comparisons by Deodhar's criterion
 (Bjorner-Brenti, GTM 231, section 2.6): for v, u in W^J, v <= u iff
@@ -41,13 +41,16 @@ i outside J.
 - The coset order of node i is the strata store of Q_i, the W-orbit of
   omega_i (_Strata.order): its strata read top down number the cosets
   from the top (0) to the identity coset (|Q_i| - 1), the strata above
-  dim/2 read as w_0 of the weights below.
+  dim/2 read as w_0 of the weights below; ``mirror`` maps each coset a
+  to that of w_0 a w_{0,S - {i}}.
 - Lower covers come from the lifting property: for a left descent s of
   b, they are s*b and s*c for each lower cover c of s*b with s*c > c.
 - Up-sets are int bitsets, OR-ed top down; no bit of the up-set of coset
   a lies above a.
-- Coset rows (P_i(x), i outside J) are one family the walk fills: the row
-  of s_j x is act_j of the row of x.
+- Coset rows (P_i(x), i outside J) are filled up to dim/2 from the
+  records, the row of s_j x being act_j of the row of x; above, the row of
+  w_0 x w_{0J} is the mirror of the row of x, since
+  P_i(w_0 x w_{0J}) = w_0 P_i(x) w_{0,S - {i}}.
 Coset orders are built only when a sweep asks for coset rows, each
 once, on the store that Orbits.strata already holds.  The store
 of W^J answers the sweep's comparisons: _Strata.violations yields, per
@@ -63,6 +66,7 @@ this shape.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import getitem
 
 from .dynkin import DynkinSpec, cartan_rows, check_length, dimension, opposition
 from .errors import ContextMismatch, NonReducedInput
@@ -155,20 +159,20 @@ class _Strata:
     ``weights[l]`` lists stratum l's weights in stratum order, and weight k
     is s_j of weight b of stratum l - 1 for ``parents[l][k] = (b, j)``.
     Element k of stratum l > dim/2 is w_0 x w_{0J}, x element k of stratum
-    dim - l, of weight w_0 mu = -sigma(mu) (``antipode``).  ``walk`` fills
-    any per-element family from these records.  ``marked`` lists the nodes
-    outside J, ascending: a coset row holds one coset id per marked node,
-    in that order.  Coset rows and masks of a stratum, and its sorted
-    reversed words (``_suffixes``, which ``lifting`` reads), are filled on
-    first use into dicts keyed by the stratum.
+    dim - l, of weight w_0 mu = -sigma(mu) (``antipode``): its word and
+    coset row are read off x's (``word``, ``cosets``).  ``marked`` lists
+    the nodes outside J, ascending: a coset row holds one coset id per
+    marked node, in that order.  Coset rows and masks of a stratum, and its
+    sorted reversed words (``_suffixes``, which ``lifting`` reads), are
+    filled on first use into dicts keyed by the stratum.
 
     The store of a maximal quotient W^{S - {i}} is also the coset order of
-    node i once ``order`` has filled ``act`` and ``up``; it has len(up)
-    cosets.
+    node i once ``order`` has filled ``act``, ``up`` and ``mirror``; it has
+    len(up) cosets.
     """
 
     __slots__ = ("dim", "layer", "marked", "weights", "parents", "_rows", "_masks", "_suffixes",
-                 "ups", "act", "up")
+                 "ups", "act", "up", "mirror")
 
     def __init__(self, layer: "Orbits", jset: frozenset[int]):
         self.dim = dimension(layer.spec, jset)
@@ -177,7 +181,7 @@ class _Strata:
         self.weights = [[tuple(int(i not in jset) for i in layer.spec.nodes)]]
         self.parents = [None]
         self._rows, self._masks, self._suffixes = {}, {}, {}
-        self.ups = self.act = self.up = None
+        self.ups = self.act = self.up = self.mirror = None
 
     def grow(self, l: int) -> None:
         """Grow strata up to min(l, dim - l): mu has the children s_j(mu), mu_j > 0."""
@@ -190,29 +194,6 @@ class _Strata:
                         children.setdefault(reflect(mu, j), (b, j))
             self.parents.append(list(children.values()))
             weights.append(list(children))
-
-    def walk(self, l: int, levels: dict, bottom, top, step) -> list:
-        """Fill stratum l of a per-element family ``levels`` from the records; return it.
-
-        ``levels`` maps each stratum filled so far to its values; strata up
-        to min(l, dim - l) must be grown.  Up to dim/2 the value of s_j x_b
-        is step(value of x_b, j), from ``bottom`` at the identity.  Above,
-        element k of stratum m is y = w_0 x w_{0J} with x = s_j x_b by the
-        record (b, j) of stratum dim - m, and w_0 s_j x_b w_{0J} =
-        s_sigma(j) w_0 x_b w_{0J}: its value is step(value of y_b,
-        sigma(j)), y_b element b of stratum m + 1, from ``top`` at
-        w_0 w_{0J}.
-        """
-        dim, up = self.dim, 2 * l <= self.dim
-        gens = range(len(self.layer.sigma)) if up else self.layer.sigma
-        above = None
-        for m in range(l + 1) if up else range(dim, l - 1, -1):
-            if m not in levels:
-                levels[m] = [bottom if up else top] if above is None else [
-                    step(above[b], gens[j]) for b, j in self.parents[m if up else dim - m]
-                ]
-            above = levels[m]
-        return levels[l]
 
     def word(self, l: int, k: int) -> Word:
         """Canonical word of element k of stratum l, peeled off its weight; builds nothing."""
@@ -227,7 +208,9 @@ class _Strata:
         stratum l is coset k plus the number of cosets longer than l, so the
         top coset is 0, the identity coset len(up) - 1, and lengths do not
         increase.  ``act[j - 1][c]`` is the coset of s_j * c (c when s_j
-        fixes it), and bit b of ``up[c]`` is set iff coset b >= c.
+        fixes it), bit b of ``up[c]`` is set iff coset b >= c, and
+        ``mirror[c]`` is the coset of w_0 c w_{0,S - {i}}, whose weight is
+        the antipode of c's.
         """
         if self.up is not None:
             return self
@@ -238,6 +221,7 @@ class _Strata:
             for l in range(dim, -1, -1) for mu in self.weights[min(l, dim - l)]
         ]
         index = {mu: c for c, mu in enumerate(weights)}
+        self.mirror = [index[antipode(mu)] for mu in weights]
         reflect = self.layer.reflect
         size = len(weights)
         self.act = act = [  # ids from index: every table shares its int objects
@@ -264,19 +248,32 @@ class _Strata:
     def cosets(self, l: int) -> list[tuple[int, ...]]:
         """Coset rows of stratum l, in stratum order (see quotient_cosets).
 
-        Filling a stratum also sets ``ups``, the up-set tables of the
-        marked nodes' coset orders, which violations reads.
+        Up to dim/2 the row of s_j x_b, by the record (b, j), is act_j of
+        the row of x_b, filled up from the identity row.  Above, element k
+        of stratum l is w_0 x w_{0J}, x element k of stratum dim - l, and
+        P_i(w_0 x w_{0J}) = w_0 P_i(x) w_{0,S - {i}}: its row is the
+        mirror of the row of x.  Filling a stratum also sets ``ups``, the
+        up-set tables of the marked nodes' coset orders, which violations
+        reads.
         """
-        if l not in self._rows:  # acts cost a pass per call: only when a level is missing
+        rows = self._rows
+        if l not in rows:
             orders = [self.layer.coset_order(i) for i in self.marked]
             self.ups = [o.up for o in orders]
-            acts = [[o.act[j] for o in orders] for j in range(self.layer.spec.rank)]
-            self.grow(l)
-            self.walk(
-                l, self._rows, tuple(len(o.up) - 1 for o in orders), (0,) * len(orders),
-                lambda row, j: tuple([a[c] for a, c in zip(acts[j], row)]),
-            )
-        return self._rows[l]
+            low = min(l, self.dim - l)
+            if low not in rows:  # acts cost a pass per call: only when a level is missing
+                self.grow(low)
+                acts = [[o.act[j] for o in orders] for j in range(self.layer.spec.rank)]
+                above = rows.setdefault(0, [tuple(len(o.up) - 1 for o in orders)])
+                for m in range(1, low + 1):
+                    if m not in rows:
+                        rows[m] = [tuple(map(getitem, acts[j], above[b]))
+                                   for b, j in self.parents[m]]
+                    above = rows[m]
+            if l != low:
+                mirrors = [o.mirror for o in orders]
+                rows[l] = [tuple(map(getitem, mirrors, row)) for row in rows[low]]
+        return rows[l]
 
     def masks(self, l: int) -> list[int]:
         """Per marked node, the bitset of the cosets of stratum l."""
@@ -457,20 +454,18 @@ def orbits(spec: DynkinSpec) -> Orbits:
 def quotient_stratum(ctx: WeylGroupContext, jset, l: int) -> list[WeylElement]:
     """Elements of W^J of length exactly l, in the internal deterministic order.
 
-    Each element is one left product s_j * x from an element x already
-    built, walked on the records of the strata store (_Strata.walk) up from
-    the identity or down from the top w_0 w_{0J}.  Built strata stay on the
-    context, which owns their elements.
+    Element k is evaluated from its canonical word (_Strata.word), which it
+    keeps, so neither w_{0J} nor w_0 w_{0J} is built.  Built strata stay on
+    the context, which owns their elements.
     """
     jset = frozenset(jset)
     store = orbits(ctx.spec).store(jset, l)
     levels = ctx._strata.setdefault(jset, {})
     if l not in levels:
-        gens = ctx.simple_reflections
-        top = None  # w_0 w_{0J} takes N_J steps: only for a walk down from it
-        if 2 * l > store.dim:
-            top = ctx.multiply(ctx.longest_element, ctx.longest_in_parabolic(jset))
-        store.walk(l, levels, ctx.identity, top, lambda x, j: ctx.multiply(gens[j], x))
+        words = [store.word(l, k) for k in range(len(store.weights[min(l, store.dim - l)]))]
+        levels[l] = [ctx.from_word(word) for word in words]
+        for x, word in zip(levels[l], words):
+            x._word = word
     return levels[l]
 
 
@@ -498,12 +493,4 @@ def elements_of_length(ctx: WeylGroupContext, l: int) -> list[WeylElement]:
 
 def quotient_elements_of_length(ctx: WeylGroupContext, jset, l: int) -> list[WeylElement]:
     """Elements of W^J of length exactly l, sorted by canonical word peeled off the weights."""
-    from .weyl import WeylElement
-
-    jset = frozenset(jset)
-    stratum = quotient_stratum(ctx, jset, l)
-    store = orbits(ctx.spec).strata[jset]
-    for k, x in enumerate(stratum):
-        if x._word is None:
-            x._word = store.word(l, k)
-    return sorted(stratum, key=WeylElement.word)
+    return sorted(quotient_stratum(ctx, jset, l))

@@ -155,7 +155,8 @@ def bonds(spec: DynkinSpec) -> list[tuple[int, int, int]]:
 def cartan_rows(spec: DynkinSpec) -> list[list[tuple[int, int]]]:
     """The nonzero entries of the Cartan matrix, row by row, from the bonds in O(rank).
 
-    ``rows[i]`` lists (j, [i][j]) by ascending j, both indices 0-based.
+    ``rows[i]`` lists (j, [i][j]) by ascending j, both indices 0-based.  The
+    bonds and the nodes are read in one merged order; no row is sorted.
     Family C is served the B table: the two groups are identical and only
     the group structure matters here.
     """
@@ -163,13 +164,17 @@ def cartan_rows(spec: DynkinSpec) -> list[list[tuple[int, int]]]:
         spec = DynkinSpec("B", spec.rank)
     # ([i][j], [j][i]) of a bond (i, j, m): a double bond points from the
     # long root i to the short root j; in G2 alpha_1 is short
-    entries = {3: (-1, -1), 4: (-2, -1), 6: (-1, -3)}
-    rows = [[(i, 2)] for i in range(spec.rank)]
-    for i, j, mult in bonds(spec):
+    entries = {2: (2, 2), 3: (-1, -1), 4: (-2, -1), 6: (-1, -3)}
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(spec.rank)]
+    # the diagonal entry of node k is a bond (k, k, 2).  Bond (i, j), i <= j,
+    # appends [i][j] to row i and [j][i] to row j; read by (i, j), it comes
+    # after every entry left of either, so each row ascends unsorted
+    for i, j, mult in sorted(bonds(spec) + [(k, k, 2) for k in spec.nodes]):
         ij, ji = entries[mult]
         rows[i - 1].append((j - 1, ij))
-        rows[j - 1].append((i - 1, ji))
-    return [sorted(row) for row in rows]
+        if i < j:
+            rows[j - 1].append((i - 1, ji))
+    return rows
 
 
 def cartan_matrix(spec: DynkinSpec) -> tuple[tuple[int, ...], ...]:

@@ -16,6 +16,7 @@ from egd import (
     bruhat_leq,
     build_group,
     codims,
+    decompose,
     dn_distinguished,
     effective_divisibility,
     elements_of_length,
@@ -252,6 +253,46 @@ def test_coset_orders_match_recursion(diagram):
             up = order.up[a]
             for u, b in zip(elems, cosets):
                 assert bruhat_leq(ctx, v, u) == bool(up >> b & 1), (i, v, u)
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "D5", "G2", "F4", "E6"],
+)
+def test_coset_rows_match_projections(diagram):
+    # both halves of every coset-row table against the root permutations:
+    # entry i of the row of x is the coset of P_i(x), split off x by
+    # decompose, and coset ids number the strata of Q_i top down.
+    # Tier-1 skips the quotients over 2,000 elements; EGD_EXTENDED=1 runs
+    # every E6 set
+    spec = DynkinSpec.parse(diagram)
+    ctx = get_context(spec)
+    nodes = frozenset(spec.nodes)
+    ids = {}  # (i, element of Q_i) -> coset id in the order of node i
+    for i in spec.nodes:
+        co = nodes - {i}
+        strata = [quotient_stratum(ctx, co, l) for l in range(quotient_dimension(ctx, co) + 1)]
+        for l, stratum in enumerate(strata):
+            longer = sum(map(len, strata[l + 1 :]))
+            ids.update(((i, x), longer + k) for k, x in enumerate(stratum))
+    projected = {}  # (i, x) -> coset id of P_i(x)
+    checked = 0
+    for k in range(spec.rank + 1):
+        for jset in map(frozenset, itertools.combinations(spec.nodes, k)):
+            if not (EXTENDED and spec.family == "E") and quotient_size(spec, jset) > 2000:
+                continue
+            checked += 1
+            marked = sorted(nodes - jset)
+            for l in range(quotient_dimension(ctx, jset) + 1):
+                stratum, rows = quotient_stratum(ctx, jset, l), quotient_cosets(ctx, jset, l)
+                assert len(rows) == len(stratum), (sorted(jset), l)
+                for x, row in zip(stratum, rows):
+                    for i, c in zip(marked, row, strict=True):
+                        if (i, x) not in projected:
+                            up = decompose(ctx, x, nodes - {i}).up
+                            projected[i, x] = ids[i, up]
+                        assert c == projected[i, x], (sorted(jset), l, i, x)
+    assert checked == {"E6": 64 if EXTENDED else 17}.get(diagram, 2**spec.rank)
 
 
 @pytest.mark.parametrize(
@@ -517,18 +558,25 @@ def test_dimensions_counted_not_built():
 
 
 @pytest.mark.parametrize("diagram,parabolic", [("D4", "2,3,4"), ("E6", "2,3,4,5,6"), ("B3", "1")])
-def test_quotient_stratum_builds_top_only_to_walk_down(diagram, parabolic):
-    # strata up to dim/2 are walked up from the identity: w_0 w_{0J} is
-    # built, and w_{0J} interned, only for a stratum above dim/2
+def test_quotient_stratum_mirrors_below_without_top(diagram, parabolic):
+    # every element is evaluated from its word, so the strata intern no
+    # w_{0J} (s_1 of B3, a generator, is interned by the build); element k
+    # of stratum l > dim/2 is w_0 x w_{0J}, x element k of stratum dim - l,
+    # which root permutations confirm afterwards
     spec = DynkinSpec.parse(diagram)
     jset = spec.parse_nodes(parabolic)
     ctx = build_group(spec)
+    fresh = set(ctx._intern)
     dim = quotient_dimension(ctx, jset)
-    for l in range(dim // 2 + 1):
-        quotient_stratum(ctx, jset, l)
-    assert jset not in ctx._longest_parabolic
-    quotient_stratum(ctx, jset, dim // 2 + 1)
-    assert jset in ctx._longest_parabolic
+    strata = [quotient_stratum(ctx, jset, l) for l in range(dim + 1)]
+    interned = set(ctx._intern) - fresh
+    built = jset in ctx._longest_parabolic
+    w0, w0j = ctx.longest_element, ctx.longest_in_parabolic(jset)
+    assert w0j.perm not in interned
+    assert not built
+    for l in range(dim // 2 + 1, dim + 1):
+        mirrored = [ctx.multiply(w0, ctx.multiply(x, w0j)) for x in strata[dim - l]]
+        assert strata[l] == mirrored, l
 
 
 @pytest.mark.parametrize(

@@ -410,6 +410,25 @@ def test_cartan_entries_are_oriented(diagram):
     assert cartan_rows(spec) == [[(j, a) for j, a in enumerate(row) if a] for row in matrix]
 
 
+CARTAN_SPECS = (
+    [DynkinSpec("A", n) for n in range(1, 13)]
+    + [DynkinSpec(family, n) for family in "BC" for n in range(2, 13)]
+    + [DynkinSpec("D", n) for n in range(4, 13)]
+    + [DynkinSpec("E", n) for n in (6, 7, 8)]
+    + [DynkinSpec("F", 4), DynkinSpec("G", 2)]
+)
+
+
+@pytest.mark.parametrize("spec", CARTAN_SPECS, ids=str)
+def test_cartan_rows_ascend(spec):
+    # rows come out by ascending column with no sort per row: E lists its
+    # bond (2, 4) last, after (3, 4), so row 4 is built out of bond order
+    rows, matrix = cartan_rows(spec), cartan_matrix(spec)
+    for row in rows:
+        assert all(a < b for (a, _), (b, _) in zip(row, row[1:])), row
+    assert rows == [[(j, a) for j, a in enumerate(line) if a] for line in matrix]
+
+
 TABLE_SPECS = (
     [DynkinSpec("A", n) for n in range(1, 9)]
     + [DynkinSpec("B", n) for n in range(2, 8)]
