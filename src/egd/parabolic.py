@@ -3,8 +3,10 @@
 For a set J of nodes, W_J is the subgroup generated by {s_j : j in J} and
 W^J the set of elements with no right descent in J; every w factors
 uniquely as w^J * w_J with additive lengths, w^J in W^J minimal in w W_J.
-The decomposition is computed by stripping right descents lying in J
-(scanning J in increasing order; the result is order-independent).
+The decomposition strips w to w^J by the in-place walk of
+WeylGroupContext.coset_end: right descents lying in J are removed, the
+smallest first (the result is order-independent), and only w^J and w_J are
+interned.
 
 The type-D section provides the maximal-quadric-plane elements w_alpha and
 w_beta, their inverses theta_alpha/theta_beta, the self-disjoint spinor
@@ -33,18 +35,14 @@ CodimData.__doc__ = "Codimension bookkeeping: c_total = cJ_up + cJ_down."
 
 
 def decompose(ctx: WeylGroupContext, w: WeylElement, jset) -> Decomposition:
-    """Split w into its minimal coset representative and its W_J part."""
-    jlist = sorted(ctx.spec.check_nodes(jset))
-    x = w
-    stripped = []
-    while True:
-        j = next((j for j in jlist if x.perm[j - 1] < 0), None)
-        if j is None:
-            break
-        x = ctx.multiply(x, ctx.simple_reflections[j - 1])
-        stripped.append(j)
-    down = ctx.from_word(reversed(stripped))
-    return Decomposition(x, down, tuple(stripped))
+    """Split w into its minimal coset representative and its W_J part.
+
+    w^J is the strip of w (WeylGroupContext.coset_end), and w_J the value of
+    the stripped letters read right to left.  Raises ContextMismatch if w
+    belongs to another context.
+    """
+    up, stripped = ctx.coset_end(w, jset)
+    return Decomposition(up, ctx.from_word(reversed(stripped)), stripped)
 
 
 def longest_in_WJ(ctx: WeylGroupContext, jset) -> WeylElement:

@@ -22,11 +22,14 @@ under the reflections that raise them (s_j permutes the positive roots
 other than alpha_j, which it negates).  A root is packed into one int, a
 byte per coordinate, and carries only its nonzero pairings with the
 generators, so a reflection is one subtraction and touches only the
-pairings its Cartan row changes; the pass records the pairs of roots each
-s_j exchanges.  Right multiplication by s_j is then those swaps plus a sign
-flip at alpha_j, done in place on a plain list: that builds the longest
-parabolic elements w_{0J} and the value of any word, and only the results
-are interned.  w_0 needs no product: it is -sigma on the roots, sigma the
+pairings its sparse Cartan row (dynkin.cartan_rows) changes; the pass
+records the pairs of roots each s_j exchanges.  Right multiplication by s_j
+is then those swaps plus a sign flip at alpha_j, done in place on a plain
+list.  One walk of such steps (coset_end) climbs to the longest element of
+a coset x W_J or strips x to the shortest, so it builds the longest
+parabolic elements w_{0J} and the minimal coset representatives w^J, and
+the same steps give the value of any word; only the results are
+interned.  w_0 needs no product: it is -sigma on the roots, sigma the
 opposition involution of the diagram, a table by type.  So a fresh context
 holds the identity, the generators and w_0; the identity and the
 generators are interned with their known lengths 0 and 1, and any other
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 from operator import itemgetter, neg
 
-from .dynkin import DynkinSpec, cartan_matrix, num_positive_roots, opposition
+from .dynkin import DynkinSpec, cartan_rows, num_positive_roots, opposition
 from .errors import ContextMismatch, InvalidRank
 
 Word = tuple[int, ...]
@@ -122,7 +125,6 @@ class WeylGroupContext:
     def __init__(self, spec: DynkinSpec):
         self.spec = spec
         self.rank = spec.rank
-        self.cartan = cartan_matrix(spec)
         self.positive_roots, self._swaps, w0 = self._close_roots()
         self.num_positive_roots = len(self.positive_roots)
         self._negated_simple = frozenset(range(-self.rank, 0))
@@ -167,11 +169,13 @@ class WeylGroupContext:
         -p_j << shift[j] (coefficients are at most 6, in E8).  Each root
         carries its nonzero pairings p_k = sum_i c_i * cartan[i][k] as a
         dict; those of s_j(c) are p_k - p_j * cartan[j][k], which changes
-        only the few k with cartan[j][k] != 0.  The closure climbs by
-        height, applying only the s_j with p_j < 0: every positive root
-        is reached from a simple one that way, and each pair s_j exchanges
-        is met once, from its lower root.  The climb stops when no height
-        above is left, or once it has passed the expected number of roots.
+        only the few k of row j of dynkin.cartan_rows, the same sparse rows
+        the weight layer reads (a simple root's pairings are its row).  The
+        closure climbs by height, applying only the s_j with p_j < 0: every
+        positive root is reached from a simple one that way, and each pair
+        s_j exchanges is met once, from its lower root.  The climb stops
+        when no height above is left, or once it has passed the expected
+        number of roots.
 
         w_0 = -sigma on the roots, sigma the opposition involution of the
         diagram (dynkin.opposition): w_0 sends root k to minus the position
@@ -183,7 +187,7 @@ class WeylGroupContext:
         spec, n = self.spec, self.rank
         expected = num_positive_roots(spec)
         shift = [8 * (n - 1 - j) for j in range(n)]
-        rows = [[(k, a) for k, a in enumerate(row) if a] for row in self.cartan]
+        rows = cartan_rows(spec)
         codes = [1 << b for b in shift]  # the simple roots; then each height, sorted
         # levels[h] maps the code of each root of height h to its pairings
         levels = {1: {c: dict(row) for c, row in zip(codes, rows)}}
@@ -293,8 +297,8 @@ class WeylGroupContext:
         """Evaluate a word (any sequence of generator indices, not necessarily reduced).
 
         Every letter is checked first (DynkinSpec.check_word); the word is
-        then composed in place on a plain list, as in longest_in_parabolic,
-        so only the result is interned.
+        then composed in place on a plain list by _times_generator, the
+        right-product step of coset_end, so only the result is interned.
         """
         word = self.spec.check_word(word)
         perm = list(self.identity.perm)
@@ -312,26 +316,33 @@ class WeylGroupContext:
             letters.append(i)
             x = self.left_multiply(i, x)
 
-    def longest_in_parabolic(self, subset) -> WeylElement:
-        """Longest element of the subgroup generated by the reflections in ``subset``.
+    def coset_end(self, x: WeylElement, subset, *, top=False) -> tuple[WeylElement, Word]:
+        """The shortest element of x W_J, J = ``subset``, or with ``top`` the longest.
 
-        Built by right-multiplying the smallest non-descent generator until
-        every generator in the subset is a descent, on a plain list: only
-        the result is interned.
+        Right-multiplies a copy of x's perm in place by the smallest s_j,
+        j in J, that is a descent of it (a strip) or with ``top`` an ascent
+        (a climb), until none is left; only the end is interned.  Returns
+        the end and the letters used, in order: a reduced word of the W_J
+        factor between x and the end, read right to left for a strip.
+        """
+        if x.ctx is not self:
+            raise ContextMismatch("element does not belong to this context")
+        ordered = sorted(self.spec.check_nodes(subset))
+        perm, letters = list(x.perm), []
+        while i := next((j for j in ordered if (perm[j - 1] > 0) == top), 0):
+            self._times_generator(perm, i)
+            letters.append(i)
+        return self._make(tuple(perm)), tuple(letters)
+
+    def longest_in_parabolic(self, subset) -> WeylElement:
+        """Longest element w_{0J} of the subgroup W_J generated by ``subset``.
+
+        The climb of coset_end from the identity, cached per subset.
         """
         key = frozenset(subset)
-        cached = self._longest_parabolic.get(key)
-        if cached is not None:
-            return cached
-        perm = list(self.identity.perm)
-        ordered = sorted(self.spec.check_nodes(key))
-        while True:
-            i = next((i for i in ordered if perm[i - 1] > 0), None)
-            if i is None:
-                break
-            self._times_generator(perm, i)
-        x = self._longest_parabolic[key] = self._make(tuple(perm))
-        return x
+        if key not in self._longest_parabolic:
+            self._longest_parabolic[key] = self.coset_end(self.identity, key, top=True)[0]
+        return self._longest_parabolic[key]
 
     def coxeter_number(self) -> int:
         """Multiplicative order of the product of all simple reflections."""

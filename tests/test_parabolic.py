@@ -24,8 +24,9 @@ from egd import (
 )
 from egd.dynkin import dimension, num_positive_roots
 from egd.engine import decomposition
-from egd.errors import EgdError, NotClassical, NotTypeD
+from egd.errors import ContextMismatch, EgdError, NotClassical, NotTypeD
 from egd.parabolic import spinor_sequences, spinor_word
+from egd.weyl import build_group
 
 
 def in_quotient(ctx, x, jset):
@@ -66,6 +67,26 @@ def test_decompose_d5_example():
     assert dec.down == ctx.from_word(tuple(reversed(dec.strip)))
     assert ctx.multiply(dec.up, dec.down) == u
     assert dec.up.length == 7 and dec.down.length == 9
+
+
+def test_decompose_refuses_a_foreign_element():
+    # B2's identity strips nothing, so it once came back as `up` beside A2's
+    # identity as `down`; B2's s_1 strips one step
+    ctx, other = get_context(DynkinSpec("A", 2)), get_context(DynkinSpec("B", 2))
+    for w in (other.identity, other.simple_reflections[0]):
+        with pytest.raises(ContextMismatch):
+            decompose(ctx, w, {1})
+
+
+@pytest.mark.parametrize("diagram, dim", [("A100", 100), ("D71", 140)])
+def test_strip_at_the_root_limit_interns_only_its_results(diagram, dim):
+    # w_0 strips to w_0^J, J = S - {1}, in N_J steps on one list: only w_0^J
+    # and w_{0J} are interned, none of the N_J - 1 elements between
+    spec = DynkinSpec.parse(diagram)
+    ctx = build_group(spec)
+    before = len(ctx._intern)
+    assert longest_in_quotient(ctx, set(spec.nodes) - {1}).length == dim
+    assert len(ctx._intern) == before + 2
 
 
 @pytest.mark.parametrize(

@@ -471,13 +471,17 @@ def test_opposition_table_matches_longest_element(spec):
 
 def test_context_build_checks_root_count_and_opposition(monkeypatch):
     a3 = DynkinSpec("A", 3)
-    # the matrix of A3 closes to 6 roots, not the 9 of B3
-    monkeypatch.setattr("egd.weyl.cartan_matrix", lambda spec: cartan_matrix(a3))
+    # the rows of A3 close to 6 roots, not the 9 of B3
+    monkeypatch.setattr("egd.weyl.cartan_rows", lambda spec: cartan_rows(a3))
     with pytest.raises(InvalidRank, match="6 positive roots closed, 9 expected"):
         build_group(DynkinSpec("B", 3))
-    # an affine matrix has infinitely many roots: the closure stops past 6
-    affine = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
-    monkeypatch.setattr("egd.weyl.cartan_matrix", lambda spec: affine)
+    # affine A2 has infinitely many roots: the closure stops past 6
+    affine = [
+        [(0, 2), (1, -1), (2, -1)],
+        [(0, -1), (1, 2), (2, -1)],
+        [(0, -1), (1, -1), (2, 2)],
+    ]
+    monkeypatch.setattr("egd.weyl.cartan_rows", lambda spec: affine)
     with pytest.raises(InvalidRank, match="positive roots closed, 6 expected"):
         build_group(a3)
     monkeypatch.undo()
