@@ -25,12 +25,12 @@ mu_j < 0.  Each grown weight keeps a record (parent, j).  Stratum l > dim/2
 is the image of stratum dim - l under x -> w_0 x w_{0J}, which reverses the
 Bruhat order on W^J (Bjorner-Brenti, GTM 231, ch. 2); the weight of the
 image is w_0 mu = -sigma(mu).  That mirror is the one mechanism for the
-upper half: words, coset rows and coset ids above dim/2 are read off the
-strata below, and nothing walks down from w_0 w_{0J}.  A canonical word
-is peeled off a weight (Orbits.peel), and so is the shortest element of
-x W_{S - R} for any word of x, off x(lambda_R) (Orbits.project): the
-projection P_r(x) to a maximal quotient, the factor x^J of x = x^J x_J,
-and with lambda = rho the word of x itself.
+upper half: words, coset rows, coset bitsets and coset ids above dim/2
+are read off the strata below, and nothing walks down from w_0 w_{0J}.
+A canonical word is peeled off a weight (Orbits.peel), and so is the
+shortest element of x W_{S - R} for any word of x, off x(lambda_R)
+(Orbits.project): the projection P_r(x) to a maximal quotient, the factor
+x^J of x = x^J x_J, and with lambda = rho the word of x itself.
 Root permutations are built only by quotient_stratum, each evaluated from
 its canonical word, and kept on the context.
 
@@ -47,10 +47,12 @@ i outside J.
   b, they are s*b and s*c for each lower cover c of s*b with s*c > c.
 - Up-sets are int bitsets, OR-ed top down; no bit of the up-set of coset
   a lies above a.
-- Coset rows (P_i(x), i outside J) are filled up to dim/2 from the
-  records, the row of s_j x being act_j of the row of x; above, the row of
-  w_0 x w_{0J} is the mirror of the row of x, since
-  P_i(w_0 x w_{0J}) = w_0 P_i(x) w_{0,S - {i}}.
+- Coset rows (P_i(x), i outside J) are filled and kept up to dim/2 from
+  the records, the row of s_j x being act_j of the row of x; above, the
+  row of w_0 x w_{0J} is the mirror of the row of x, since
+  P_i(w_0 x w_{0J}) = w_0 P_i(x) w_{0,S - {i}}.  No upper row is kept:
+  the sweep's coset bitsets and decoded u above dim/2 are read through
+  the mirrors off the rows below.
 Coset orders are built only when a sweep asks for coset rows, each
 once, on the store that Orbits.strata already holds.  The store
 of W^J answers the sweep's comparisons: _Strata.violations yields, per
@@ -162,9 +164,11 @@ class _Strata:
     dim - l, of weight w_0 mu = -sigma(mu) (``antipode``): its word and
     coset row are read off x's (``word``, ``cosets``).  ``marked`` lists
     the nodes outside J, ascending: a coset row holds one coset id per
-    marked node, in that order.  Coset rows and masks of a stratum, and its
-    sorted reversed words (``_suffixes``, which ``lifting`` reads), are
-    filled on first use into dicts keyed by the stratum.
+    marked node, in that order.  Masks of a stratum and its sorted
+    reversed words (``_suffixes``, which ``lifting`` reads) are filled on
+    first use into dicts keyed by the stratum.  Coset rows (``_rows``) are
+    kept for strata l <= dim/2 only; the strata above are read off them
+    through ``mirrors``, the marked nodes' coset mirrors.
 
     The store of a maximal quotient W^{S - {i}} is also the coset order of
     node i once ``order`` has filled ``act``, ``up`` and ``mirror``; it has
@@ -172,7 +176,7 @@ class _Strata:
     """
 
     __slots__ = ("dim", "layer", "marked", "weights", "parents", "_rows", "_masks", "_suffixes",
-                 "ups", "act", "up", "mirror")
+                 "ups", "mirrors", "act", "up", "mirror")
 
     def __init__(self, layer: "Orbits", jset: frozenset[int]):
         self.dim = dimension(layer.spec, jset)
@@ -181,7 +185,7 @@ class _Strata:
         self.weights = [[tuple(int(i not in jset) for i in layer.spec.nodes)]]
         self.parents = [None]
         self._rows, self._masks, self._suffixes = {}, {}, {}
-        self.ups = self.act = self.up = self.mirror = None
+        self.ups = self.mirrors = self.act = self.up = self.mirror = None
 
     def grow(self, l: int) -> None:
         """Grow strata up to min(l, dim - l): mu has the children s_j(mu), mu_j > 0."""
@@ -249,36 +253,37 @@ class _Strata:
         """Coset rows of stratum l, in stratum order (see quotient_cosets).
 
         Up to dim/2 the row of s_j x_b, by the record (b, j), is act_j of
-        the row of x_b, filled up from the identity row.  Above, element k
-        of stratum l is w_0 x w_{0J}, x element k of stratum dim - l, and
-        P_i(w_0 x w_{0J}) = w_0 P_i(x) w_{0,S - {i}}: its row is the
-        mirror of the row of x.  Filling a stratum also sets ``ups``, the
-        up-set tables of the marked nodes' coset orders, which violations
-        reads.
+        the row of x_b, filled up from the identity row and kept.  Above,
+        element k of stratum l is w_0 x w_{0J}, x element k of stratum
+        dim - l, and P_i(w_0 x w_{0J}) = w_0 P_i(x) w_{0,S - {i}}: its row
+        is the mirror of the row of x, built on each call and not kept.
+        The first fill also sets ``ups`` and ``mirrors``, the up-set and
+        mirror tables of the marked nodes' coset orders.
         """
-        rows = self._rows
-        if l not in rows:
+        rows, low = self._rows, (l if 2 * l <= self.dim else self.dim - l)
+        if low not in rows:  # acts cost a pass per call: only when a stratum is missing
             orders = [self.layer.coset_order(i) for i in self.marked]
-            self.ups = [o.up for o in orders]
-            low = min(l, self.dim - l)
-            if low not in rows:  # acts cost a pass per call: only when a level is missing
-                self.grow(low)
-                acts = [[o.act[j] for o in orders] for j in range(self.layer.spec.rank)]
-                above = rows.setdefault(0, [tuple(len(o.up) - 1 for o in orders)])
-                for m in range(1, low + 1):
-                    if m not in rows:
-                        rows[m] = [tuple(map(getitem, acts[j], above[b]))
-                                   for b, j in self.parents[m]]
-                    above = rows[m]
-            if l != low:
-                mirrors = [o.mirror for o in orders]
-                rows[l] = [tuple(map(getitem, mirrors, row)) for row in rows[low]]
-        return rows[l]
+            self.ups, self.mirrors = [o.up for o in orders], [o.mirror for o in orders]
+            self.grow(low)
+            acts = [[o.act[j] for o in orders] for j in range(self.layer.spec.rank)]
+            rows.setdefault(0, [tuple(len(o.up) - 1 for o in orders)])
+            for m in range(len(rows), low + 1):  # the kept strata are 0 .. len(rows) - 1
+                above = rows[m - 1]
+                rows[m] = [tuple(map(getitem, acts[j], above[b])) for b, j in self.parents[m]]
+        return rows[l] if l == low else [tuple(map(getitem, self.mirrors, r)) for r in rows[low]]
 
     def masks(self, l: int) -> list[int]:
-        """Per marked node, the bitset of the cosets of stratum l."""
+        """Per marked node, the bitset of the cosets of stratum l.
+
+        Above dim/2, node i's bitset holds mirror_i[c] for each coset c of
+        column i of stratum dim - l, so no upper row is built.
+        """
         if l not in self._masks:
-            self._masks[l] = [sum(1 << c for c in set(column)) for column in zip(*self.cosets(l))]
+            low = min(l, self.dim - l)
+            columns = [set(column) for column in zip(*self.cosets(low))]
+            if l != low:
+                columns = [[m[c] for c in column] for m, column in zip(self.mirrors, columns)]
+            self._masks[l] = [sum(1 << c for c in column) for column in columns]
         return self._masks[l]
 
     def violations(self, len_v: int, len_u: int):
@@ -286,7 +291,9 @@ class _Strata:
 
         By Deodhar's criterion each v costs one AND per marked node against
         the u-stratum's coset bitsets (_misses); the u of a failing v are
-        decoded from its missed cosets.  Indices are stratum order.
+        decoded from its missed cosets.  Above dim/2 the holders of a coset
+        are those of its mirror in stratum dim - len_u (the mirror is an
+        involution), so no upper row is built.  Indices are stratum order.
         """
         masks, ups = self.masks(len_u), self.ups
         holders = None  # per marked node: coset -> indices of the u in it
@@ -295,16 +302,18 @@ class _Strata:
             if not any(misses):
                 continue
             if holders is None:
-                holders = [{} for _ in ups]
-                for k, u_row in enumerate(self.cosets(len_u)):
+                holders, low = [{} for _ in ups], min(len_u, self.dim - len_u)
+                for k, u_row in enumerate(self.cosets(low)):
                     for held, c in zip(holders, u_row):
                         held.setdefault(c, []).append(k)
+                if low != len_u:  # u_k above mirrors u_k below: coset c turns mirror[c]
+                    holders = [{m[c]: h[c] for c in h} for m, h in zip(self.mirrors, holders)]
             hit = set()
             for held, miss in zip(holders, misses):
                 while miss:
-                    low = miss & -miss
-                    hit.update(held[low.bit_length() - 1])
-                    miss ^= low
+                    bit = miss & -miss
+                    hit.update(held[bit.bit_length() - 1])
+                    miss ^= bit
             yield k_v, sorted(hit)
 
     def lifting(self, len_v: int, len_u: int):
@@ -481,7 +490,8 @@ def quotient_cosets(ctx: WeylGroupContext, jset, l: int) -> list[tuple[int, ...]
     node i outside J in ascending order; those orders are built on first
     use.  By Deodhar's criterion v <= u in W^J iff, at every position k,
     bit row_u[k] of that order's up[row_v[k]] is set; so the row also
-    determines the element.
+    determines the element.  Rows above dim/2 are mirrored off the kept
+    rows below on each call (_Strata.cosets).
     """
     return orbits(ctx.spec).store(frozenset(jset), l).cosets(l)
 

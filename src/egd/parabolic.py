@@ -51,8 +51,11 @@ def longest_in_WJ(ctx: WeylGroupContext, jset) -> WeylElement:
 
 
 def longest_in_quotient(ctx: WeylGroupContext, jset) -> WeylElement:
-    """The unique maximal element w_0^J of W^J; its length is dim G/P_J."""
-    return decompose(ctx, ctx.longest_element, jset).up
+    """The unique maximal element w_0^J of W^J; its length is dim G/P_J.
+
+    It is the strip of w_0 (WeylGroupContext.coset_end); w_{0J} is not built.
+    """
+    return ctx.coset_end(ctx.longest_element, jset)[0]
 
 
 def codims(

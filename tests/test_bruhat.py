@@ -16,7 +16,6 @@ from egd import (
     bruhat_leq,
     build_group,
     codims,
-    decompose,
     dn_distinguished,
     effective_divisibility,
     elements_of_length,
@@ -30,6 +29,7 @@ from egd import (
 )
 from egd.bruhat import coset_order, orbits, quotient_cosets, quotient_stratum
 from egd.dynkin import bonds, num_positive_roots, quotient_size, stratum_size
+from egd.engine import _brute_ed
 from egd.engine import stratum as stratum_words
 from egd.errors import ContextMismatch, LengthOutOfRange, NonReducedInput
 
@@ -261,8 +261,8 @@ def test_coset_orders_match_recursion(diagram):
 )
 def test_coset_rows_match_projections(diagram):
     # both halves of every coset-row table against the root permutations:
-    # entry i of the row of x is the coset of P_i(x), split off x by
-    # decompose, and coset ids number the strata of Q_i top down.
+    # entry i of the row of x is the coset of P_i(x), stripped off x by
+    # coset_end, and coset ids number the strata of Q_i top down.
     # Tier-1 skips the quotients over 2,000 elements; EGD_EXTENDED=1 runs
     # every E6 set
     spec = DynkinSpec.parse(diagram)
@@ -289,7 +289,7 @@ def test_coset_rows_match_projections(diagram):
                 for x, row in zip(stratum, rows):
                     for i, c in zip(marked, row, strict=True):
                         if (i, x) not in projected:
-                            up = decompose(ctx, x, nodes - {i}).up
+                            up = ctx.coset_end(x, nodes - {i})[0]
                             projected[i, x] = ids[i, up]
                         assert c == projected[i, x], (sorted(jset), l, i, x)
     assert checked == {"E6": 64 if EXTENDED else 17}.get(diagram, 2**spec.rank)
@@ -577,6 +577,24 @@ def test_quotient_stratum_mirrors_below_without_top(diagram, parabolic):
     for l in range(dim // 2 + 1, dim + 1):
         mirrored = [ctx.multiply(w0, ctx.multiply(x, w0j)) for x in strata[dim - l]]
         assert strata[l] == mirrored, l
+
+
+@pytest.mark.parametrize(
+    "diagram,marked,ed", [("D6", "all", 9), ("E8", "1", 46), ("B5", "2,4", 9), ("B2", "2", 3)]
+)
+def test_sweep_keeps_no_coset_row_above_half(diagram, marked, ed):
+    # masks and failing u above dim/2 are read through each coset order's
+    # mirror off the rows below, so no store keeps an upper row.  B2(2) is
+    # capped (ed = dim = 3): its last degree is dim + 1, whose v lie in
+    # stratum 2 > 3/2
+    md = MarkedDiagram.parse(diagram, marked)
+    orbits.cache_clear()
+    value, capped, _ = _brute_ed(md.spec, md.parabolic_set)
+    assert (value, capped) == (ed, diagram == "B2")
+    stores = orbits(md.spec).strata.values()
+    assert any(store._rows for store in stores)
+    for store in stores:
+        assert all(2 * l <= store.dim for l in store._rows), (sorted(store.marked), store.dim)
 
 
 @pytest.mark.parametrize(

@@ -81,11 +81,16 @@ def test_decompose_refuses_a_foreign_element():
 @pytest.mark.parametrize("diagram, dim", [("A100", 100), ("D71", 140)])
 def test_strip_at_the_root_limit_interns_only_its_results(diagram, dim):
     # w_0 strips to w_0^J, J = S - {1}, in N_J steps on one list: only w_0^J
-    # and w_{0J} are interned, none of the N_J - 1 elements between
+    # is interned, none of the N_J - 1 elements between, and decompose
+    # interns w_{0J} besides
     spec = DynkinSpec.parse(diagram)
     ctx = build_group(spec)
+    jset = set(spec.nodes) - {1}
     before = len(ctx._intern)
-    assert longest_in_quotient(ctx, set(spec.nodes) - {1}).length == dim
+    top = longest_in_quotient(ctx, jset)
+    assert top.length == dim
+    assert len(ctx._intern) == before + 1
+    assert decompose(ctx, ctx.longest_element, jset).up is top
     assert len(ctx._intern) == before + 2
 
 
