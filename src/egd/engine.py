@@ -93,6 +93,8 @@ from .errors import DegreeOutOfRange, EgdError, EmptyMarkedSet, Infeasible
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without loading typing
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .weyl import WeylElement, WeylGroupContext, Word
 
 DEFAULT_BUDGET = 10**6
@@ -101,11 +103,10 @@ DEFAULT_BUDGET = 10**6
 # about 0.12 s, B71, C71 and D71 in about 0.09-0.13 s.  The commands, on
 # weights alone, keep the limit: `decompose A100 1,2,3,4,5,6,7 1` runs
 # in about 0.11 s and `ed A100 1` in about 0.16 s, each at 15 MB peak RSS.
-# (Python 3.11 on 2 cores.)  For `strata` and `decompose` it guards no
-# allocation: the weight layer holds O(rank) Cartan entries and only the
-# strata it grows, so `strata A500000 0` and `decompose A20000 1,2,3 1`
-# answer under a 2 GB address-space limit once the limit is lifted.  It
-# stays only so that their refusals keep their bytes.
+# (Python 3.11 on 2 cores.)  It is also the only rank bound: the weight
+# layer holds O(rank) tables and only the strata it grows, so with the limit
+# lifted `strata A500000 0` answers under a 2 GB address space, but
+# `strata A20000000 0` dies of MemoryError in dynkin.cartan_rows.
 MAX_POSITIVE_ROOTS = 5050
 # Largest stratum `egd strata` lists, in entries: the rank-wide weights of
 # the strata it grows plus the letters of its words (stratum); 10**8
@@ -290,8 +291,8 @@ def _require_marked(md: MarkedDiagram) -> None:
 
 def _sweep_degree(
     spec: DynkinSpec, jset: frozenset[int], s: int
-) -> list[tuple[int, Word, Word]]:
-    """(l(v), word of v, word of u) of each violating pair at degree s, 0 < l(v) <= c^J(u).
+) -> Iterator[tuple[int, Word, Word]]:
+    """Yield (l(v), word of v, word of u) of each violating pair at degree s, 0 < l(v) <= c^J(u).
 
     x -> w_0 x w_{0J} reverses the Bruhat order on W^J and swaps l(v) with
     c^J(u), so (v, u) violates iff (w_0 u w_{0J}, w_0 v w_{0J}) does: the
@@ -299,14 +300,13 @@ def _sweep_degree(
     for every J.  The sweep holds one strata store of W^J, and each bucket
     l(v) is compared by one generator of (k_v, [k_u, ...]) pairs: the
     store's violations on coset orders, or its lifting on words for a
-    marked set with a node over MAX_COSETS (_oversize_cosets).  The
-    canonical words of the pairs it yields are peeled off the store's
-    weights, each u once per bucket.  Pairs come in bucket order: l(v)
-    ascending, then stratum order of v and of u.
+    marked set with a node over MAX_COSETS (_oversize_cosets).  Words are
+    peeled off the store's weights as pairs are yielded, each u once per
+    bucket.  Pairs come in bucket order: l(v) ascending, then stratum
+    order of v and of u.
     """
     store = orbits(spec).store(jset, 0)
     compare = store.lifting if _oversize_cosets(spec, jset) else store.violations
-    out: list[tuple[int, Word, Word]] = []
     for len_v in range(max(1, s - store.dim), s // 2 + 1):
         len_u = store.dim - (s - len_v)
         words_u: dict[int, Word] = {}
@@ -315,8 +315,7 @@ def _sweep_degree(
             for k in hit:
                 if k not in words_u:
                     words_u[k] = store.word(len_u, k)
-                out.append((len_v, word_v, words_u[k]))
-    return out
+                yield len_v, word_v, words_u[k]
 
 
 def has_egd_up_to(ctx: WeylGroupContext, jset, s: int) -> bool:
@@ -325,13 +324,13 @@ def has_egd_up_to(ctx: WeylGroupContext, jset, s: int) -> bool:
     Only pairs with l(v) <= c^J(u) are compared: the two classes of a
     violating pair swap under x -> w_0 x w_{0J}, so that half of the pairs
     holds a violation whenever one exists, for every parabolic set J, flags
-    and proper quotients alike.
+    and proper quotients alike.  The probe stops at the first violation.
     """
     jset = frozenset(jset)
     dim = quotient_dimension(ctx, jset)
     if s < 0 or s > dim:
         raise DegreeOutOfRange(f"degree {s} outside 0..{dim}")
-    return not _sweep_degree(ctx.spec, jset, s)
+    return next(_sweep_degree(ctx.spec, jset, s), None) is None
 
 
 def _listing(spec: DynkinSpec, jset: frozenset[int], degree: int) -> list[MdPair]:

@@ -17,6 +17,7 @@ space W^{Delta \\ {n}} by nondecreasing integer sequences.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import combinations
 
 from .dynkin import DynkinSpec, dimension, num_positive_roots, require_type_d
 from .errors import NotClassical
@@ -58,15 +59,9 @@ def longest_in_quotient(ctx: WeylGroupContext, jset) -> WeylElement:
     return ctx.coset_end(ctx.longest_element, jset)[0]
 
 
-def codims(
-    ctx: WeylGroupContext, u: WeylElement, jset, dec: Decomposition | None = None
-) -> CodimData:
-    """c^J, c_J and c of u; l(w_0^J) = N - N_J and l(w_{0J}) = N_J are counted, not built.
-
-    ``dec`` is decompose(ctx, u, jset) when the caller already holds it.
-    """
-    if dec is None:
-        dec = decompose(ctx, u, jset)
+def codims(ctx: WeylGroupContext, u: WeylElement, jset) -> CodimData:
+    """c^J, c_J and c of u; l(w_0^J) = N - N_J and l(w_{0J}) = N_J are counted, not built."""
+    dec = decompose(ctx, u, jset)
     return CodimData(
         cJ_up=dimension(ctx.spec, jset) - dec.up.length,
         cJ_down=num_positive_roots(ctx.spec, jset) - dec.down.length,
@@ -106,43 +101,28 @@ def is_opposite_pullback(ctx: WeylGroupContext, v: WeylElement, jset) -> bool:
 # -- distinguished elements in type D ---------------------------------------
 
 
-def _theta_word(n: int, kind: str) -> Word:
-    # theta_alpha = 1..n-2, n-1 and theta_beta = 1..n-2, n; their length-l
-    # right suffixes are the only admitted suffix source.
-    tail = n - 1 if kind == "alpha" else n
-    return tuple(range(1, n - 1)) + (tail,)
-
-
-def _theta_suffix(n: int, kind: str, l: int) -> Word:
-    word = _theta_word(n, kind)
-    return word[len(word) - l :] if l else ()
-
-
-def _factor_kind(n: int, j: int) -> str:
-    # factor j of the spinor pattern uses theta_alpha when j = n mod 2,
-    # theta_beta otherwise; the last factor (j = n-1) is always beta.
-    return "alpha" if (j - n) % 2 == 0 else "beta"
-
-
 def spinor_sequences(n: int) -> list[tuple[int, ...]]:
-    """Admissible (n-1)-tuples indexing W^I, I = all nodes but n.
+    """Admissible (n-1)-tuples indexing W^I, I = all nodes but n, in increasing order.
 
     Either (1,2,...,n-1), for the top element, or zeros followed by a
     strictly increasing tail with values <= n-1.  One sequence per subset
-    of {1,...,n-1}: the sorted subset, left-padded with zeros.
+    of {1,...,n-1}: the sorted subset, left-padded with zeros.  More zeros
+    sort first, so the subsets come by size, each size in lexicographic order.
     """
-    seqs = []
-    for mask in range(2 ** (n - 1)):
-        tail = [i for i in range(1, n) if mask >> (i - 1) & 1]
-        seqs.append((0,) * (n - 1 - len(tail)) + tuple(tail))
-    return sorted(set(seqs))
+    return [(0,) * (n - 1 - k) + tail for k in range(n) for tail in combinations(range(1, n), k)]
 
 
 def spinor_word(n: int, seq: tuple[int, ...]) -> Word:
-    """The word theta_gamma(l_1)...theta_alpha(l_{n-2})theta_beta(l_{n-1})."""
+    """The word theta_gamma(l_1)...theta_alpha(l_{n-2})theta_beta(l_{n-1}).
+
+    theta_alpha = 1..n-2, n-1 and theta_beta = 1..n-2, n; factor j is the
+    length-l_j right suffix of theta_alpha when j = n mod 2 and of
+    theta_beta otherwise, so the last factor (j = n-1) is always beta.
+    """
     out: list[int] = []
     for j, l in enumerate(seq, start=1):
-        out.extend(_theta_suffix(n, _factor_kind(n, j), l))
+        theta = (*range(1, n - 1), n - 1 if (j - n) % 2 == 0 else n)
+        out.extend(theta[n - 1 - l :])
     return tuple(out)
 
 

@@ -1,5 +1,6 @@
 """CLI surface: text layouts, JSON round trips, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import egd
+from egd.bruhat import orbits
 from egd.cli import main
 
 
@@ -317,7 +319,6 @@ def test_oversize_classical_quotient_swept_pair_by_pair(capsys, monkeypatch):
     # built, and brute force still runs and agrees with the closed form.
     # Its words are peeled off the weights, as on the bitset path
     from egd import DynkinSpec, WeylGroupContext
-    from egd.bruhat import orbits
 
     def no_peel(ctx, x):
         raise AssertionError("canonical word of a built element")
@@ -581,6 +582,28 @@ def test_readme_examples_match_golden_output(capsys):
         code, out, _ = run(capsys, *example.split()[1:])
         want = golden[example]
         assert (code, out) == (want["rc"], want["stdout"]), example
+
+
+def test_cli_output_matches_golden_digests(capsys):
+    """Exit code and sha256 of stdout and stderr against tests/data/golden_cli.json.
+
+    Self-generated regression data, like readme_cli.json: it pins the bytes
+    of the benchmark commands, the capped, JSON, classified and refused runs
+    across refactors.  The entries marked extended (seconds each) run only
+    under EGD_EXTENDED=1.
+    """
+    golden = json.loads((REPO / "tests" / "data" / "golden_cli.json").read_text())["commands"]
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()  # noqa: E731
+    changed = []
+    for command, want in golden.items():
+        if want.get("extended") and not os.environ.get("EGD_EXTENDED"):
+            continue
+        code, out, err = run(capsys, *command.split()[1:])
+        got = {"rc": code, "stdout_sha256": sha(out), "stderr_sha256": sha(err)}
+        if got != {key: want[key] for key in got}:
+            changed.append((command, got))
+        orbits.cache_clear()
+    assert not changed
 
 
 # -- start-up ------------------------------------------------------------------

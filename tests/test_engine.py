@@ -102,6 +102,24 @@ def test_has_egd_up_to():
         has_egd_up_to(ctx, frozenset(), -1)
 
 
+def test_has_egd_up_to_stops_at_the_first_violation(monkeypatch):
+    # degree 10 of the D4 flag has 1,271 violating pairs; the probe decides
+    # it on the first and peels only the words of that pair
+    import egd.bruhat
+
+    ctx = get_context(DynkinSpec("D", 4))
+    word, peels = egd.bruhat._Strata.word, []
+
+    def counting_word(self, l, k):
+        peels.append((l, k))
+        return word(self, l, k)
+
+    monkeypatch.setattr(egd.bruhat._Strata, "word", counting_word)
+    assert not has_egd_up_to(ctx, frozenset(), 10)
+    assert len(peels) <= 2
+    assert has_egd_up_to(ctx, frozenset(), 5)
+
+
 def _has_coset_order(spec, node):
     """Whether the coset order of ``node``, the store of W^{S - {node}}, is built."""
     store = orbits(spec).strata.get(frozenset(spec.nodes) - {node})
@@ -144,14 +162,20 @@ def test_pair_by_pair_sweep_matches_coset_orders(request):
         for md in _marked_sets(DynkinSpec.parse(diagram))
         if quotient_size(md.spec, md.parabolic_set) <= (3000 if EXTENDED else 200)
     ]
+    # the sweeps are consumed here, before MAX_COSETS = 0: a generator left
+    # unconsumed would run on words too, and compare the route with itself
+    orbits.cache_clear()
     expected = [
-        [_sweep_degree(spec, jset, s) for s in range(1, dimension(spec, jset) + 2)]
+        [list(_sweep_degree(spec, jset, s)) for s in range(1, dimension(spec, jset) + 2)]
         for spec, jset in cases
     ]
+    assert all(
+        _has_coset_order(spec, i) for spec, jset in cases for i in set(spec.nodes) - jset
+    )
     request.getfixturevalue("pair_by_pair")
     orbits.cache_clear()
     for (spec, jset), sweeps in zip(cases, expected):
-        got = [_sweep_degree(spec, jset, s) for s in range(1, dimension(spec, jset) + 2)]
+        got = [list(_sweep_degree(spec, jset, s)) for s in range(1, dimension(spec, jset) + 2)]
         assert got == sweeps, (spec, jset)
         assert all(store.up is None for store in orbits(spec).strata.values())
     assert len(cases) == (194 if EXTENDED else 137)
@@ -467,7 +491,7 @@ def test_halved_sweep_is_complete():
                 dual = lambda x: ctx.multiply(ctx.multiply(w0, x), w0j)  # noqa: E731
                 dim = quotient_dimension(ctx, jset)
                 for s in range(1, dim + 2):
-                    half = _elements(ctx, _sweep_degree(spec, jset, s))
+                    half = _elements(ctx, list(_sweep_degree(spec, jset, s)))
                     assert all(v.length <= s - v.length for v, _ in half)
                     full = _full_violations(ctx, jset, s)
                     assert set(half) | {(dual(u), dual(v)) for v, u in half} == full
@@ -517,7 +541,7 @@ def test_sweep_matches_recursion_at_every_degree(request, route):
                     continue
                 checked += 1
                 for s in range(1, quotient_dimension(ctx, jset) + 2):
-                    hits = _sweep_degree(spec, jset, s)
+                    hits = list(_sweep_degree(spec, jset, s))
                     assert hits == _half_violations(ctx, jset, s), (diagram, marked, s)
                     violations += len(hits)
     assert checked == (116 if EXTENDED else 88)
@@ -712,7 +736,7 @@ def _records():
         result,
         morphism_constancy(9, MarkedDiagram.parse("D4", "2")),
         dec,
-        codims(ctx, w, {2, 3}, dec),
+        codims(ctx, w, {2, 3}),
         dn_distinguished(ctx),
     ]
 

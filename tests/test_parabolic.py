@@ -115,7 +115,7 @@ def test_weight_decomposition_matches_permutations(diagram):
             dec = decompose(ctx, w, jset)
             words = ctx.canonical_word(dec.up), ctx.canonical_word(dec.down)
             assert (up, down) == words, (word, sorted(jset))
-            cd = codims(ctx, w, jset, dec)
+            cd = codims(ctx, w, jset)
             assert (
                 dimension(spec, jset) - len(up),
                 num_positive_roots(spec, jset) - len(down),
